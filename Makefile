@@ -3,7 +3,8 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke-batch fuzz-smoke robustness-smoke trace-smoke \
-	serve-smoke http-smoke chaos-smoke bench clean-cache
+	serve-smoke http-smoke chaos-smoke bench perfbench perfbench-selftest \
+	clean-cache
 
 # Tier 1: the full unit-test suite (must stay green).
 test:
@@ -85,6 +86,17 @@ chaos-smoke:
 # Full benchmark suite (Tables 2-3, Figures 8-10, scaling + speedup).
 bench:
 	$(PY) -m pytest benchmarks -q
+
+# The repository benchmark (BENCHMARK.json): four workloads, end-to-end
+# metrics and correctness checks; see perfbench/README.md.
+perfbench:
+	python3 perfbench/run.py
+
+# The benchmark harness's own tests, including its correctness gate
+# (every workload emits its declared metrics, traced and untraced, and
+# a corrupted record fails the run).
+perfbench-selftest:
+	$(PY) -m pytest perfbench/bench_harness.py -q
 
 # Persistent caches (grammar tables, batch results) are derived data.
 clean-cache:

@@ -202,7 +202,8 @@ def test_null_tracer_overhead(benchmark):
                 raise AssertionError
         per_guard = (time.perf_counter() - start) / reps
         # ~5 guard sites execute per FMLR iteration (kill switch, BDD
-        # budget, merge, histogram, fork), plus the per-unit calls.
+        # budget, histogram, fork, and merge or, while one subparser is
+        # live, the sole-subparser test), plus the per-unit calls.
         guards = 5 * iterations + counting.calls
         projected = guards * per_guard
         holder.update(untraced=untraced_seconds,

@@ -20,6 +20,18 @@ Disabling the follow-set gives MAPR's naive per-branch forking; with
 ``mapr_largest_first`` the queue uses MAPR's largest-stack-first
 tie-breaker.  A kill switch bounds the live subparser count (the paper
 uses 16,000 for the MAPR comparison).
+
+**Sole-subparser mode.**  Between conditionals Algorithm 2 is plain LR:
+one live, single-headed subparser.  While a step leaves exactly one
+successor and no other subparser is live, ``parse`` steps that
+successor directly instead of inserting it (no merge partner can
+exist, and the next pop would return it).  Each such step still does
+the per-iteration bookkeeping: counters, kill switch, BDD budget and
+trace histogram.  Likewise ``_step`` takes a straight shift/reduce/
+accept path for a single head with one classification; only
+multi-headed subparsers and ambiguous classifications are partitioned
+into Figure 7b's action groups.  Both paths share ``_shift`` and
+``_reduce``, so results and counters do not depend on the mode.
 """
 
 from __future__ import annotations
@@ -38,6 +50,10 @@ from repro.parser.grammar import END
 from repro.parser.lalr import ACCEPT, REDUCE, SHIFT, Tables
 from repro.parser.stream import (BranchNode, StreamElement, TokenNode,
                                  build_stream)
+
+
+# A classified head: (condition, token node, terminal, LALR action).
+_Classified = Tuple[Any, TokenNode, str, Tuple]
 
 
 class SubparserExplosion(Exception):
@@ -401,34 +417,43 @@ class FMLRParser:
                 continue
             subparser.alive = False  # popped: no longer mergeable
             live_count[0] -= 1
-            stats.iterations += 1
-            live = live_count[0] + 1  # include the one being stepped
-            stats.subparser_counts.append(live)
-            if trace:
-                tracer.record("fmlr.subparsers", live)
-            if live > stats.max_subparsers:
-                stats.max_subparsers = live
-            if live > options.kill_switch:
-                if options.hard_kill_switch:
-                    raise SubparserExplosion(live, options.kill_switch)
-                shed_forks(live)
-            if budget is not None and budget.max_bdd_nodes \
-                    and stats.iterations % 64 == 0 \
-                    and manager.num_nodes() > budget.max_bdd_nodes:
-                trip_bdd_budget(subparser)
-                break
-            successors = self._step(subparser, manager, accepted,
-                                    failures, stats)
-            if len(successors) > 1:
-                forked = len(successors) - 1
-                stats.forks += forked
+            # Sole-subparser mode: while the stepped subparser is the
+            # only live one and yields exactly one successor, step that
+            # successor directly.  Inserting it could not merge it, and
+            # the next pop would return it again.
+            while True:
+                stats.iterations += 1
+                live = live_count[0] + 1  # include the one being stepped
+                stats.subparser_counts.append(live)
                 if trace:
-                    tracer.count("fmlr.forks", forked)
-                    tracer.event("fork", n=forked,
-                                 position=subparser.earliest_position,
-                                 live=live + forked)
-            for successor in successors:
-                insert(successor)
+                    tracer.record("fmlr.subparsers", live)
+                if live > stats.max_subparsers:
+                    stats.max_subparsers = live
+                if live > options.kill_switch:
+                    if options.hard_kill_switch:
+                        raise SubparserExplosion(live, options.kill_switch)
+                    shed_forks(live)
+                if budget is not None and budget.max_bdd_nodes \
+                        and stats.iterations % 64 == 0 \
+                        and manager.num_nodes() > budget.max_bdd_nodes:
+                    trip_bdd_budget(subparser)  # empties the queue
+                    break
+                successors = self._step(subparser, manager, accepted,
+                                        failures, stats)
+                if len(successors) == 1 and live_count[0] == 0:
+                    subparser = successors[0]
+                    continue
+                if len(successors) > 1:
+                    forked = len(successors) - 1
+                    stats.forks += forked
+                    if trace:
+                        tracer.count("fmlr.forks", forked)
+                        tracer.event("fork", n=forked,
+                                     position=subparser.earliest_position,
+                                     live=live + forked)
+                for successor in successors:
+                    insert(successor)
+                break
         return FMLRResult(accepted, failures, stats, manager,
                           diagnostics, degraded=bool(diagnostics))
 
@@ -472,10 +497,10 @@ class FMLRParser:
               failures: List[ParseFailure],
               stats: FMLRStats) -> List[Subparser]:
         options = self.options
+        heads = subparser.heads
         # MAPR mode: a head may be a branch point -> naive forking.
-        if not options.follow_set and \
-                isinstance(subparser.heads[0][1], BranchNode):
-            cond, node = subparser.heads[0]
+        if not options.follow_set and isinstance(heads[0][1], BranchNode):
+            cond, node = heads[0]
             forks = []
             for branch_cond, sub_element in node.alternatives:
                 joint = cond & branch_cond
@@ -486,51 +511,74 @@ class FMLRParser:
                     subparser.context.fork_context()))
             return forks
 
+        state = subparser.stack.state
+        reclassify = subparser.context.reclassify
+        if len(heads) == 1:
+            cond, node = heads[0]
+            classes = reclassify(node.token, self._base_terminal(node),
+                                 cond)
+            if len(classes) == 1:
+                # One head, one classification: a plain LR action.
+                sub_cond, terminal = classes[0]
+                if sub_cond.is_false():
+                    return []
+                stats.action_lookups += 1
+                action = self.tables.action[state].get(terminal)
+                if action is None:
+                    self._reject(sub_cond, node, state, failures)
+                    return []
+                if action[0] == SHIFT:
+                    return self._shift(
+                        subparser, ((sub_cond, node, terminal, action),),
+                        subparser.context, manager, stats)
+                if action[0] == REDUCE:
+                    if sub_cond is not cond:
+                        heads = ((sub_cond, node),)
+                    return self._reduce(subparser, action[1], sub_cond,
+                                        heads, subparser.context)
+                accepted.append((sub_cond, subparser.stack.value))
+                return []
+            by_head = [(node, classes)]
+        else:
+            by_head = [(node, reclassify(node.token,
+                                         self._base_terminal(node), cond))
+                       for cond, node in heads]
+
         # Classify every head, splitting on ambiguous classifications
         # (implicit conditionals, e.g. conditionally-defined typedef
         # names) and dropping rejecting heads.
-        classified: List[Tuple[Any, TokenNode, str, Tuple]] = []
-        state = subparser.stack.state
-        for cond, node in subparser.heads:
-            base = self._base_terminal(node)
-            for sub_cond, terminal in subparser.context.reclassify(
-                    node.token, base, cond):
+        classified: List[_Classified] = []
+        for node, classes in by_head:
+            for sub_cond, terminal in classes:
                 if sub_cond.is_false():
                     continue
                 stats.action_lookups += 1
                 action = self.tables.action[state].get(terminal)
                 if action is None:
-                    failures.append(ParseFailure(
-                        sub_cond,
-                        node.token if not node.is_eof else None,
-                        self.tables.expected_terminals(state)))
+                    self._reject(sub_cond, node, state, failures)
                     continue
                 classified.append((sub_cond, node, terminal, action))
         if not classified:
             return []
 
         # Partition into action groups (Figure 7b).
-        shift_heads: List[Tuple[Any, TokenNode, str]] = []
-        reduce_groups: Dict[int, List[Tuple[Any, TokenNode, str]]] = {}
-        accept_heads: List[Tuple[Any, TokenNode]] = []
-        for cond, node, terminal, action in classified:
-            if action[0] == SHIFT:
-                shift_heads.append((cond, node, terminal))
-            elif action[0] == REDUCE:
-                reduce_groups.setdefault(action[1], []).append(
-                    (cond, node, terminal))
+        shift_heads: List[_Classified] = []
+        reduce_groups: Dict[int, List[_Classified]] = {}
+        for head in classified:
+            kind = head[3][0]
+            if kind == SHIFT:
+                shift_heads.append(head)
+            elif kind == REDUCE:
+                reduce_groups.setdefault(head[3][1], []).append(head)
             else:  # ACCEPT
-                accept_heads.append((cond, node))
-
-        for cond, _node in accept_heads:
-            accepted.append((cond, subparser.stack.value))
+                accepted.append((head[0], subparser.stack.value))
 
         groups: List[Tuple[str, Any, List]] = []
-        for production_index, heads in sorted(reduce_groups.items()):
+        for production_index, group in sorted(reduce_groups.items()):
             if options.shared_reduces:
-                groups.append(("reduce", production_index, heads))
+                groups.append(("reduce", production_index, group))
             else:
-                for head in heads:
+                for head in group:
                     groups.append(("reduce", production_index, [head]))
         if shift_heads:
             if options.lazy_shifts:
@@ -552,21 +600,31 @@ class FMLRParser:
         if first_kind == "reduce":
             if len(first_heads) > 1:
                 stats.shared_reduce_count += 1
-            out.extend(self._reduce(subparser, first_extra, first_heads,
-                                    context, manager))
+            out.extend(self._reduce(
+                subparser, first_extra,
+                manager.disjoin(head[0] for head in first_heads),
+                tuple(head[:2] for head in first_heads), context))
         else:
             out.extend(self._shift(subparser, first_heads, context,
                                    manager, stats))
-        for kind, extra, heads in groups[1:]:
-            forked = Subparser(
-                tuple((cond, node) for cond, node, _t in heads),
-                subparser.stack, subparser.context.fork_context())
+        for kind, extra, group in groups[1:]:
+            forked = Subparser(tuple(head[:2] for head in group),
+                               subparser.stack,
+                               subparser.context.fork_context())
             out.append(forked)
         return out
 
+    def _reject(self, condition: Any, node: TokenNode, state: int,
+                failures: List[ParseFailure]) -> None:
+        failures.append(ParseFailure(
+            condition, node.token if not node.is_eof else None,
+            self.tables.expected_terminals(state)))
+
     def _reduce(self, subparser: Subparser, production_index: int,
-                heads: List[Tuple[Any, TokenNode, str]],
-                context: ParserContext, manager: Any) -> List[Subparser]:
+                condition: Any, heads: Tuple[Tuple[Any, TokenNode], ...],
+                context: ParserContext) -> List[Subparser]:
+        """Reduce the common stack once for ``heads``, which hold under
+        ``condition`` together."""
         production = self.tables.grammar.productions[production_index]
         count = len(production.rhs)
         stack = subparser.stack
@@ -575,7 +633,6 @@ class FMLRParser:
             values.append(stack.value)
             stack = stack.prev
         values.reverse()
-        condition = manager.disjoin(cond for cond, _n, _t in heads)
         value = build_value(production, values, context)
         context.on_reduce(production, value, condition)
         goto_state = self.tables.goto[stack.state].get(production.lhs)
@@ -583,20 +640,19 @@ class FMLRParser:
             # Malformed tables; treat as rejection for these heads.
             return []
         new_stack = _StackNode(goto_state, production.lhs, value, stack)
-        return [Subparser(tuple((cond, node)
-                                for cond, node, _t in heads),
-                          new_stack, context)]
+        return [Subparser(heads, new_stack, context)]
 
     def _shift(self, subparser: Subparser,
-               heads: List[Tuple[Any, TokenNode, str]],
+               heads: Sequence[_Classified],
                context: ParserContext, manager: Any,
                stats: FMLRStats) -> List[Subparser]:
+        """Shift the earliest head; with lazy shifts, the other heads
+        stay behind in one multi-headed subparser."""
         out: List[Subparser] = []
-        cond, node, terminal = heads[0]
+        cond, node, terminal, action = heads[0]
         rest = heads[1:]
         if rest:
             stats.lazy_shift_count += 1
-        action = self.tables.action[subparser.stack.state][terminal]
         new_stack = _StackNode(action[1], terminal, node.token,
                                subparser.stack)
         new_heads = self._advance(cond, node.succ, manager)
@@ -605,9 +661,8 @@ class FMLRParser:
             out.append(Subparser(tuple(new_heads), new_stack,
                                  shift_context))
         if rest:
-            out.append(Subparser(
-                tuple((c, n) for c, n, _t in rest),
-                subparser.stack, context))
+            out.append(Subparser(tuple(head[:2] for head in rest),
+                                 subparser.stack, context))
         return out
 
     # -- merging ------------------------------------------------------------
@@ -619,16 +674,16 @@ class FMLRParser:
         for (_cl, nl), (_cr, nr) in zip(left.heads, right.heads):
             if nl is not nr:
                 return None
+        left_cond = left.condition(manager)
+        right_cond = right.condition(manager)
         merged_stack = self._merge_stacks(left.stack, right.stack,
-                                          left.condition(manager),
-                                          right.condition(manager))
+                                          left_cond, right_cond)
         if merged_stack is None:
             return None
         if not left.context.may_merge(right.context):
             return None
-        context = left.context.merge_contexts(
-            right.context, left.condition(manager),
-            right.condition(manager))
+        context = left.context.merge_contexts(right.context, left_cond,
+                                              right_cond)
         heads = tuple((cl | cr, node) for (cl, node), (cr, _n)
                       in zip(left.heads, right.heads))
         return Subparser(heads, merged_stack, context)
@@ -678,6 +733,8 @@ def follow_set(condition: Any, element: StreamElement,
     incoming conditions OR-merged), so the computation is linear in the
     reachable prefix even for long chains of conditionals.
     """
+    if isinstance(element, TokenNode):
+        return [] if condition.is_false() else [(condition, element)]
     pending: Dict[int, List] = {}
 
     def add(cond: Any, elem: StreamElement) -> None:

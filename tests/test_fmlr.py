@@ -5,9 +5,15 @@ toy grammars over preprocessed conditional token streams, including
 the paper's Figure 6 scenario (2^n configurations, O(1) subparsers).
 """
 
+import hashlib
+import itertools
+import json
+import os
+
 import pytest
 
-from repro.lexer.tokens import TokenKind
+from repro.lexer.tokens import Token, TokenKind
+from repro.obs import Tracer
 from repro.parser import Build, Grammar, Node, StaticChoice, generate
 from repro.parser.ast import project as ast_project
 from repro.parser.fmlr import (FMLROptions, FMLRParser,
@@ -326,3 +332,223 @@ class TestMerging:
 
         walk(value)
         assert found_choice
+
+
+class TestTracedPath:
+    """Sole-subparser stretches keep the per-iteration hooks: one
+    histogram sample per iteration, one event per fork and merge."""
+
+    SOURCE = ("a ; b ; c ; d ; e ; f ;\n" + TestOptimizationLevels.SOURCE
+              + "\ng ; h ; i ; j ;")
+
+    def traced(self, source, options=None):
+        unit = preprocess(source)
+        tracer = Tracer()
+        parser = FMLRParser(ident_list_grammar(), classify,
+                            options=options, tracer=tracer)
+        result = parser.parse(unit.tree, unit.manager,
+                              unit.feasible_condition)
+        return tracer, result
+
+    @pytest.mark.parametrize("level", list(OPTIMIZATION_LEVELS))
+    def test_hooks_match_stats(self, level):
+        tracer, result = self.traced(self.SOURCE,
+                                     OPTIMIZATION_LEVELS[level])
+        stats = result.stats
+        assert result.ok and stats.forks > 0
+        # MAPR never merges differing parses (no choice nodes).
+        assert stats.merges > 0 or not OPTIMIZATION_LEVELS[level] \
+            .choice_merging
+        samples = tracer.histograms["fmlr.subparsers"]
+        assert len(samples) == stats.iterations
+        assert samples == stats.subparser_counts
+        forks = [e for e in tracer.events if e.name == "fork"]
+        merges = [e for e in tracer.events if e.name == "merge"]
+        assert sum(e.args["n"] for e in forks) == stats.forks
+        assert len(merges) == stats.merges
+        assert tracer.counters["fmlr.forks"] == stats.forks
+        assert tracer.counters.get("fmlr.merges", 0) == stats.merges
+
+    def test_traced_and_untraced_agree(self):
+        _tracer, traced = self.traced(self.SOURCE)
+        _unit, untraced = parse_source(self.SOURCE)
+        assert traced.stats.as_counters() == untraced.stats.as_counters()
+        assert traced.stats.subparser_counts == \
+            untraced.stats.subparser_counts
+        assert dag_ast_signature(traced.value) == \
+            dag_ast_signature(untraced.value)
+
+
+# ---------------------------------------------------------------------------
+# golden equivalence: the engine reproduces a recorded run exactly
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "fmlr_golden.json")
+GOLDEN_KERNEL = dict(seed=2012, subsystems=1, drivers_per_subsystem=2,
+                     figure6_entries=12)
+GOLDEN_FIGURE6_ENTRIES = 8
+# A conditional typedef: ``word_t`` is ambiguously a type name.
+GOLDEN_TYPEDEFS = """#ifdef CONFIG_WIDE
+typedef long word_t;
+#else
+int word_t;
+#endif
+int f(int p) { word_t * p; return (word_t) + p; }
+"""
+# Toy-grammar units with configuration-specific parse errors.
+GOLDEN_TOY = ["#ifdef A\n; ;\n#endif\nx ;",
+              "; broken ;",
+              "#ifdef A\nx ;\n#else\ny ; ;\n#endif\n"
+              "#if defined(B) && !defined(A)\nz\n#endif\ntail ;",
+              TestOptimizationLevels.SOURCE]
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "examples")
+
+
+def _digest(*parts):
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:20]
+
+
+def bdd_signature(condition, memo):
+    """Exact structural digest of a BDD, memoised by node identity."""
+    key = id(condition)
+    if key not in memo:
+        if condition.is_terminal():
+            memo[key] = "1" if condition.is_true() else "0"
+        else:
+            name = condition.manager.variable_names[condition.var]
+            memo[key] = _digest(name,
+                                bdd_signature(condition.low, memo),
+                                bdd_signature(condition.high, memo))
+    return memo[key]
+
+
+def dag_ast_signature(value, memo=None):
+    """Exact digest of an AST.  Choice nodes share subtrees, so the
+    walk is memoised by object identity (a naive walk of a Figure 6
+    AST is exponential)."""
+    memo = {} if memo is None else memo
+    key = id(value)
+    if key in memo:
+        return memo[key]
+    if isinstance(value, Node):
+        digest = _digest("N", value.name, *(dag_ast_signature(child, memo)
+                                            for child in value.children))
+    elif isinstance(value, StaticChoice):
+        parts = ["C"]
+        for condition, branch in value.branches:
+            parts += [bdd_signature(condition, memo),
+                      dag_ast_signature(branch, memo)]
+        digest = _digest(*parts)
+    elif isinstance(value, tuple):
+        digest = _digest("L", *(dag_ast_signature(child, memo)
+                                for child in value))
+    elif isinstance(value, Token):
+        digest = _digest("K", value.kind.name, value.text, value.file,
+                         str(value.line), str(value.col))
+    else:
+        digest = _digest("V", repr(value))
+    memo[key] = digest
+    return digest
+
+
+def run_lengths(counts):
+    """``"value*run ..."``: subparser counts are mostly 1s."""
+    return " ".join(f"{value}*{len(list(run))}"
+                    for value, run in itertools.groupby(counts))
+
+
+def fmlr_snapshot(parse):
+    memo = {}
+    return {
+        "counters": parse.stats.as_counters(),
+        "subparser_counts": run_lengths(parse.stats.subparser_counts),
+        "failures": [str(failure) for failure in parse.failures],
+        "invalid_configs": bdd_signature(parse.invalid_configs, memo),
+        "ast": dag_ast_signature(parse.value, memo),
+    }
+
+
+def unit_snapshot(result):
+    """``fmlr_snapshot`` plus the C symbol table's Table 3 counts."""
+    snapshot = fmlr_snapshot(result.parse)
+    snapshot["symbols"] = vars(result.symbol_stats)
+    return snapshot
+
+
+def golden_snapshots():
+    """Per-unit FMLR outcomes over a small kernel corpus, the paper's
+    Figure 1 example and the Figure 6 initializer at every
+    optimization level."""
+    from repro.corpus import KernelSpec, generate_kernel
+    from repro.cpp import DictFileSystem
+    from repro.superc import SuperC
+    corpus = generate_kernel(KernelSpec(**GOLDEN_KERNEL))
+    superc = SuperC(corpus.filesystem(),
+                    include_paths=corpus.include_paths)
+    kernel = {unit: unit_snapshot(superc.parse_file(unit))
+              for unit in corpus.units}
+    with open(os.path.join(EXAMPLES, "mousedev.c")) as handle:
+        mousedev_source = handle.read()
+    with open(os.path.join(EXAMPLES, "include", "major.h")) as handle:
+        major = handle.read()
+    mousedev = SuperC(DictFileSystem({"include/major.h": major}),
+                      include_paths=["include"]) \
+        .parse_source(mousedev_source, "mousedev.c")
+    lines = ["static int (*check_part[])(struct parsed *) = {"]
+    for index in range(GOLDEN_FIGURE6_ENTRIES):
+        lines += [f"#ifdef CONFIG_ACORN_{index}",
+                  f"  adfspart_check_{index},", "#endif"]
+    lines += ["  ((void *)0)", "};"]
+    figure6 = "\n".join(lines)
+    levels = {level: unit_snapshot(SuperC(DictFileSystem({}),
+                                          options=options)
+                                   .parse_source(figure6, "figure6.c"))
+              for level, options in OPTIMIZATION_LEVELS.items()}
+    typedefs = SuperC(DictFileSystem({})) \
+        .parse_source(GOLDEN_TYPEDEFS, "typedefs.c")
+    toy = [fmlr_snapshot(parse_source(source)[1]) for source in GOLDEN_TOY]
+    return {"kernel": kernel, "mousedev": unit_snapshot(mousedev),
+            "figure6": levels, "typedefs": unit_snapshot(typedefs),
+            "toy": toy}
+
+
+def write_golden():
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(golden_snapshots(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+class TestGoldenEquivalence:
+    """Counters, subparser counts, failures, invalid configurations and
+    ASTs equal a recorded run of the engine.  Regenerate the fixture
+    with ``PYTHONPATH=src python -m tests.test_fmlr`` only for an
+    intended change of FMLR's behaviour."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self):
+        return golden_snapshots()
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH) as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("section", ["kernel", "mousedev", "figure6",
+                                         "typedefs", "toy"])
+    def test_matches_recorded_run(self, snapshots, golden, section):
+        assert snapshots[section] == golden[section]
+
+    def test_fixture_exercises_fork_merge(self, golden):
+        kernel = golden["kernel"].values()
+        assert sum(unit["counters"]["fmlr.forks"] for unit in kernel) > 0
+        assert sum(unit["counters"]["fmlr.merges"] for unit in kernel) > 0
+        assert golden["typedefs"]["symbols"]["ambiguous_names"] > 0
+        assert all(unit["failures"] for unit in golden["toy"][:3])
+        mapr = golden["figure6"]["MAPR"]["counters"]
+        assert mapr["fmlr.max_subparsers"] > 2 ** (
+            GOLDEN_FIGURE6_ENTRIES - 2)
+
+
+if __name__ == "__main__":
+    write_golden()

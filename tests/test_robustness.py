@@ -360,6 +360,29 @@ class TestParserDegradation:
         assert any(d.phase == PHASE_RESOURCE
                    for d in result.parse.diagnostics)
 
+    def test_bdd_node_budget_trips_in_sole_subparser_mode(self):
+        """A unit without conditional code never forks, so every
+        iteration steps the sole live subparser; the budget check still
+        runs there.  The guarded ``#define`` only allocates BDD nodes."""
+        source = "#ifdef CONFIG_A\n#define LIMIT 1\n#endif\n" + "".join(
+            f"int v{i};\n" for i in range(40))
+        result = parse(source, budget=ResourceBudget(max_bdd_nodes=1))
+        stats = result.parse.stats
+        assert result.status == STATUS_DEGRADED
+        assert stats.max_subparsers == 1 and stats.forks == 0
+        # The budget is tested every 64 iterations: the first test trips.
+        assert stats.iterations == 64
+        diag = result.parse.diagnostics[0]
+        assert diag.phase == PHASE_RESOURCE
+        assert diag.condition.is_true()
+        assert result.invalid_configs.is_true()
+
+    def test_hard_kill_switch_zero_raises_without_forks(self):
+        options = FMLROptions(kill_switch=0, hard_kill_switch=True)
+        with pytest.raises(SubparserExplosion) as raised:
+            parse("int a;\nint b;\n", options=options)
+        assert (raised.value.count, raised.value.limit) == (1, 0)
+
     def test_token_budget_skips_parse(self):
         result = parse("int a;\nint b;\nint c;\n",
                        budget=ResourceBudget(max_tokens=2))
