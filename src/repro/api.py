@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -89,7 +90,12 @@ def deprecated_property(old_name: str, path: str) -> property:
     return property(getter, doc=f"Deprecated alias for ``{path}``.")
 
 
-@dataclass(frozen=True, kw_only=True)
+# Keyword-only dataclass fields need Python 3.10; every field has a
+# default, so 3.9 takes the same keyword calls without the check.
+_KW_ONLY = {"kw_only": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_KW_ONLY)
 class Config:
     """Every pipeline knob, keyword-only, in one place.
 

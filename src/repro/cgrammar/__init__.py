@@ -55,8 +55,7 @@ def c_tables_cache_path() -> str:
 def c_tables(use_cache: bool = True) -> Tables:
     """LALR tables for the C grammar (generated once per process and
     cached on disk — versioned blobs, see ``repro.parser.lalr`` — so
-    other processes, e.g. ``repro.engine`` workers, deserialize instead
-    of regenerating)."""
+    other processes deserialize instead of regenerating)."""
     global _TABLES
     if _TABLES is not None:
         return _TABLES

@@ -5,7 +5,7 @@ explicit ``cache_dir``), both derived data that is safe to delete:
 
 * the **grammar-table cache** — versioned LALR table blobs
   (``repro.parser.lalr.to_blob``) keyed by a content hash of the C
-  grammar, so worker processes deserialize prebuilt tables instead of
+  grammar, so a new process deserializes prebuilt tables instead of
   regenerating the LR(0) automaton and DeRemer–Pennello lookaheads;
 * the **result cache** — per-unit parse summaries keyed by the source
   file's hash, the hash of its include closure, and a fingerprint of
@@ -27,10 +27,9 @@ import re
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro import chaos
-from repro.cgrammar import c_tables, c_tables_cache_path, cache_root
+from repro.cgrammar import cache_root
 from repro.cpp import FileSystem, IncludeResolver
 from repro.obs.tracer import NULL_TRACER
-from repro.parser.lalr import to_blob
 
 # Bump to invalidate every cached result record (schema or semantics
 # change in what the engine records per unit).
@@ -42,27 +41,6 @@ RESULT_CACHE_VERSION = 3
 
 _INCLUDE_RE = re.compile(
     r'^[ \t]*#[ \t]*include\w*[ \t]+([<"])([^>"\n]+)[>"]', re.MULTILINE)
-
-
-def warm_grammar_tables() -> str:
-    """Ensure the C table blob exists on disk; return its path.
-
-    Called in the parent before starting a worker pool, so every
-    worker takes the deserialize path rather than racing to
-    regenerate.  Writes the blob even when the parent already has
-    in-process tables (e.g. the cache directory was wiped)."""
-    tables = c_tables()
-    path = c_tables_cache_path()
-    if not os.path.exists(path):
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = path + f".tmp.{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(to_blob(tables))
-            os.replace(tmp, path)
-        except OSError:
-            pass
-    return path
 
 
 def config_fingerprint(include_paths: Sequence[str],

@@ -1,16 +1,18 @@
-"""Corpus-scale batch scheduling over a process worker pool.
+"""Corpus-scale batch scheduling.
 
 The paper's evaluation parses 7,665 Linux compilation units; this
 module is the driver that makes such runs practical:
 
-* compilation units are independent, so they fan out across a
-  ``concurrent.futures`` process pool (one SuperC per worker, tables
-  deserialized from the persistent grammar-table cache);
-* each unit attempt runs under a **SIGALRM deadline** inside the
-  worker, so a pathological unit (exponential conditionals, macro
-  blowup) is cut off without losing the pool;
-* a crashed worker (hard kill, OOM) breaks only its in-flight units —
-  the pool is rebuilt and the units retried, up to ``retries`` times;
+* one :class:`UnitRunner` per run holds the warm :class:`SuperC` and
+  its tables; a serial run without a deadline parses every unit on it
+  in this process;
+* any other run forks a :class:`repro.serve.pool.WorkerPool` of
+  ``workers`` processes from that warm process and dispatches one unit
+  attempt per worker from ``workers`` threads.  The pool's supervisor
+  enforces each attempt's deadline by killing the worker, and a worker
+  that dies (hard kill, OOM, a deadline) fails only its own unit;
+* failed attempts are retried in waves, up to ``retries`` times, under
+  seeded backoff and a per-unit :class:`CrashLoopBreaker`;
 * unchanged units are answered from the :class:`ResultCache` without
   spawning any work at all.
 
@@ -20,27 +22,26 @@ and are folded into a :class:`CorpusReport`.
 
 from __future__ import annotations
 
-import contextlib
 import glob as glob_module
 import importlib
 import os
 import random
-import signal
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
-    Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
+    Sequence, Union
 
 from repro.cpp import DictFileSystem, FileSystem, RealFileSystem
 from repro.engine.cache import (ResultCache, config_fingerprint,
-                                include_closure_digest,
-                                warm_grammar_tables)
+                                include_closure_digest)
 from repro.engine.metrics import MetricsStream
 from repro.engine.results import (RETRYABLE_STATUSES, STATUS_CRASHED,
-                                  STATUS_ERROR, STATUS_TIMEOUT,
-                                  CorpusReport, error_record,
-                                  record_from_result)
+                                  STATUS_ERROR, CorpusReport,
+                                  error_record, record_from_result)
 from repro.parser.fmlr import OPTIMIZATION_LEVELS
+
+if TYPE_CHECKING:
+    from repro.serve.pool import WorkerPool
 
 DEFAULT_OPTIMIZATION = "Shared, Lazy, & Early"
 
@@ -65,15 +66,14 @@ class EngineConfig:
         if optimization not in OPTIMIZATION_LEVELS:
             raise ValueError(f"unknown optimization {optimization!r}")
         self.workers = max(1, workers)
-        self.timeout_seconds = timeout_seconds  # 0 disables the alarm
+        # Per-attempt deadline; > 0 runs units on the worker pool,
+        # whose supervisor kills an overrunning worker.  0 disables.
+        self.timeout_seconds = timeout_seconds
         self.retries = max(0, retries)
         self.optimization = optimization
         self.cache_dir = cache_dir
         self.use_result_cache = use_result_cache
-        # Retry pacing: wave N sleeps base * factor**(N-2), capped at
-        # backoff_max, plus up to ``backoff_jitter`` of that delay in
-        # seeded jitter — deterministic for a given (seed, wave), so
-        # runs are reproducible.  base=0 disables sleeping entirely.
+        # Retry pacing: wave N sleeps backoff_delay(self, N - 1).
         self.backoff_base = max(0.0, backoff_base)
         self.backoff_factor = max(1.0, backoff_factor)
         self.backoff_max = max(0.0, backoff_max)
@@ -83,15 +83,15 @@ class EngineConfig:
         # this many consecutive attempts is marked STATUS_CRASHED and
         # permanently dropped from retrying (0 disables).
         self.crash_loop_threshold = max(0, crash_loop_threshold)
-        # Observability: give every worker's SuperC an enabled
+        # Observability: give the run's SuperC an enabled
         # repro.obs tracer, so each record carries a per-unit profile
         # and the report gains a corpus profile rollup.  Off by
         # default — the null tracer keeps the hot path allocation-free.
         self.profile = profile
         # Test/benchmark instrumentation: called with the unit path
-        # before each parse attempt.  A dotted "pkg.mod:name" string is
-        # resolved inside the worker (start-method agnostic); a bare
-        # callable also works under the fork start method.
+        # before each parse attempt, inside the worker.  A callable or
+        # a dotted "pkg.mod:name" string, resolved before any worker
+        # forks.
         self.fault_hook = fault_hook
 
 
@@ -145,6 +145,26 @@ class CrashLoopBreaker:
                 f"tripped={self.tripped})")
 
 
+def backoff_delay(knobs, retry: int) -> float:
+    """Seeded exponential backoff before 1-based retry ``retry``.
+
+    ``knobs`` carries ``backoff_base``/``_factor``/``_max``/
+    ``_jitter``/``_seed`` (an :class:`EngineConfig`, a serve
+    ``PoolConfig`` or a client transport).  The delay is
+    ``base * factor**(retry - 1)`` plus up to ``backoff_jitter`` of
+    itself, seeded by ``(seed, retry)``, then capped at ``backoff_max``
+    (so delays never shrink while ``jitter <= factor - 1``).
+    ``base=0`` disables sleeping entirely.
+    """
+    if knobs.backoff_base <= 0:
+        return 0.0
+    rng = random.Random(f"{knobs.backoff_seed}:{retry}")
+    return min(knobs.backoff_max,
+               knobs.backoff_base
+               * knobs.backoff_factor ** max(0, retry - 1)
+               * (1.0 + knobs.backoff_jitter * rng.random()))
+
+
 class CorpusJob:
     """What to parse: a file set, its units, and preprocessor config."""
 
@@ -160,12 +180,12 @@ class CorpusJob:
         self.builtins = builtins
         self.extra_definitions = extra_definitions
         # In-memory corpus (DictFileSystem) when set; the real
-        # filesystem otherwise.  Both pickle cleanly to workers.
+        # filesystem otherwise.
         self.files = files
         # What to do per unit.  None = the default parse-and-record.
-        # A custom runner — ``runner(state, unit) -> record dict``,
-        # given as a callable or a dotted "pkg.mod:name" string
-        # resolved inside the worker — reuses the engine's pool,
+        # A custom runner — ``runner(state, unit) -> record dict``
+        # with ``state`` the run's UnitRunner, given as a callable or
+        # a dotted "pkg.mod:name" string — reuses the engine's pool,
         # deadline, retry, and metrics machinery for other per-unit
         # work (differential fuzzing, benchmarking).  Custom records
         # must carry the standard record keys (see repro.engine
@@ -211,57 +231,8 @@ class CorpusJob:
 
 
 # ---------------------------------------------------------------------------
-# worker side
+# per-unit work
 # ---------------------------------------------------------------------------
-
-class DeadlineExceeded(Exception):
-    """Raised by the SIGALRM handler when an attempt hits its deadline.
-
-    Shared deadline machinery: batch workers raise it out of
-    :func:`attempt_deadline`, and the serve layer's admission control
-    (:mod:`repro.serve.admission`) reuses both the exception and the
-    context manager for per-request deadlines.
-    """
-
-
-# Backwards-compatible alias (pre-serve name).
-_UnitDeadline = DeadlineExceeded
-
-
-def _alarm_handler(signum, frame):
-    raise DeadlineExceeded()
-
-
-@contextlib.contextmanager
-def attempt_deadline(seconds: float) -> Iterator[bool]:
-    """Hard wall-clock deadline around one unit of work.
-
-    Arms a SIGALRM interval timer for ``seconds`` and raises
-    :class:`DeadlineExceeded` from wherever the work is executing when
-    it fires.  Signals only deliver to a process's main thread, so off
-    the main thread (a serve worker running next to a socket acceptor)
-    — or when ``seconds`` is 0 or ``setitimer`` is unavailable — this
-    degrades to a no-op and yields False; callers that need a fallback
-    can check the yielded flag and apply soft (between-requests)
-    deadline checks instead.
-    """
-    use_alarm = (seconds > 0 and hasattr(signal, "setitimer")
-                 and threading.current_thread()
-                 is threading.main_thread())
-    if not use_alarm:
-        yield False
-        return
-    previous_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous_handler)
-
-
-_STATE: dict = {}
-
 
 def _resolve_hook(hook: Union[None, str, Callable]) -> Optional[Callable]:
     if hook is None or callable(hook):
@@ -271,57 +242,53 @@ def _resolve_hook(hook: Union[None, str, Callable]) -> Optional[Callable]:
     return getattr(module, attr)
 
 
-def _init_worker(job: CorpusJob, optimization: str,
-                 timeout_seconds: float,
-                 fault_hook: Union[None, str, Callable],
-                 profile: bool = False) -> None:
-    """Build per-process state once: filesystem, tables, SuperC."""
-    # Lazy import keeps worker bootstrap (and pickling) lean.
-    from repro.cgrammar import c_tables
-    from repro.superc import SuperC
-    tracer = None
-    if profile:
-        # One tracer per worker process, reused across units; SuperC
-        # windows it per unit (Tracer.mark/since) when building each
-        # result's Profile.
-        from repro.obs.tracer import Tracer
-        tracer = Tracer()
-    superc = SuperC(job.filesystem(),
-                    include_paths=job.include_paths,
-                    builtins=job.builtins,
-                    extra_definitions=job.extra_definitions,
-                    options=OPTIMIZATION_LEVELS[optimization],
-                    tables=c_tables(),
-                    tracer=tracer)
-    _STATE["superc"] = superc
-    _STATE["timeout"] = timeout_seconds
-    _STATE["hook"] = _resolve_hook(fault_hook)
-    _STATE["job"] = job
-    _STATE["runner"] = _resolve_hook(job.runner)
-    _STATE["runner_args"] = job.runner_args
-    _STATE["runner_cache"] = {}
+class UnitRunner:
+    """Per-process state that parses one unit at a time.
 
+    Built once per run in the engine's process (filesystem, warm
+    SuperC and tables, resolved hook and runner); pool workers fork
+    from it.  A custom runner receives it as ``state``.
+    """
 
-def _run_unit(task: Tuple[str, int]) -> dict:
-    """Parse one unit inside a worker; never raises."""
-    unit, attempt = task
-    superc = _STATE["superc"]
-    timeout = _STATE["timeout"]
-    hook = _STATE["hook"]
-    start = time.perf_counter()
-    try:
-        with attempt_deadline(timeout):
-            if hook is not None:
-                hook(unit)
-            runner = _STATE.get("runner")
-            if runner is not None:
-                record = dict(runner(_STATE, unit))
+    def __init__(self, job: CorpusJob, config: EngineConfig):
+        # Lazy import keeps ``import repro.engine`` lean.
+        from repro.cgrammar import c_tables
+        from repro.superc import SuperC
+        tracer = None
+        if config.profile:
+            # One tracer per process, reused across units; SuperC
+            # windows it per unit (Tracer.mark/since) when building
+            # each result's Profile.
+            from repro.obs.tracer import Tracer
+            tracer = Tracer()
+        self.superc = SuperC(job.filesystem(),
+                             include_paths=job.include_paths,
+                             builtins=job.builtins,
+                             extra_definitions=job.extra_definitions,
+                             options=OPTIMIZATION_LEVELS[
+                                 config.optimization],
+                             tables=c_tables(),
+                             tracer=tracer)
+        self.hook = _resolve_hook(config.fault_hook)
+        self.runner = _resolve_hook(job.runner)
+        self.runner_args = job.runner_args
+        self.runner_cache: dict = {}
+
+    def run(self, unit: str, attempt: int = 1) -> dict:
+        """Parse one unit (or apply the custom runner); never raises."""
+        start = time.perf_counter()
+        try:
+            if self.hook is not None:
+                self.hook(unit)
+            if self.runner is not None:
+                record = dict(self.runner(self, unit))
                 record.setdefault("unit", unit)
                 record["attempt"] = attempt
                 record.setdefault("cache", "miss")
                 record.setdefault("seconds",
                                   round(time.perf_counter() - start, 6))
                 return record
+            superc = self.superc
             text = superc.fs.read(unit)
             if text is None:
                 return error_record(unit, STATUS_ERROR,
@@ -332,16 +299,21 @@ def _run_unit(task: Tuple[str, int]) -> dict:
                                         time.perf_counter() - start)
             if superc.tracer.enabled:
                 # Profile captured into the record; drop the raw spans
-                # so a long-lived worker tracer stays bounded.
+                # so a long-lived tracer stays bounded.
                 superc.tracer.reset()
             return record
-    except DeadlineExceeded:
-        return error_record(unit, STATUS_TIMEOUT,
-                            f"deadline of {timeout:.3g}s exceeded",
-                            attempt, time.perf_counter() - start)
-    except Exception as exc:
-        return error_record(unit, STATUS_ERROR, repr(exc), attempt,
-                            time.perf_counter() - start)
+        except Exception as exc:
+            return error_record(unit, STATUS_ERROR, repr(exc), attempt,
+                                time.perf_counter() - start)
+
+    # -- the WorkerPool state contract ---------------------------------
+
+    def reset_after_fork(self) -> None:
+        """Nothing to detach: workers only parse."""
+
+    def _parse_inline(self, unit: str, text: str) -> dict:
+        """A worker's request; the unit is read from the job's files."""
+        return self.run(unit)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +350,6 @@ class BatchEngine:
         final: Dict[str, dict] = {}
         pending: List[str] = []
         cache_keys: Dict[str, str] = {}
-        breakers: Dict[str, CrashLoopBreaker] = {}
         fs = job.filesystem()
         with tracer.span("cache-probe", units=len(job.units)):
             for unit in job.units:
@@ -401,14 +372,63 @@ class BatchEngine:
                         tracer.count("engine.result_cache.misses")
 
         if pending:
-            # Warm the table blob before forking so workers
-            # deserialize instead of regenerating in parallel.
-            warm_grammar_tables()
+            runner = UnitRunner(job, config)
+            pool = None
+            if config.workers > 1 or config.timeout_seconds > 0:
+                # Imported here: repro.serve imports repro.engine.
+                from repro.serve.pool import PoolConfig, WorkerPool
+                # The engine owns retries and its per-unit breaker: the
+                # pool replaces a dead worker at once, never recycles a
+                # healthy one mid-corpus, and never falls back to
+                # parsing in this process.
+                pool = WorkerPool(runner, PoolConfig(
+                    size=config.workers, max_requests=0,
+                    backoff_base=0, breaker_threshold=0)).start()
+            try:
+                self._run_waves(runner, pool, pending, final, metrics,
+                                tracer)
+            finally:
+                if pool is not None:
+                    pool.close()
+
+        if cache is not None:
+            for unit, record in final.items():
+                if record["cache"] == "hit" or unit not in cache_keys:
+                    continue
+                # Transient outcomes (crash, deadline, circuit-breaker
+                # trips) stay uncached so the next run retries them.
+                if record["status"] not in RETRYABLE_STATUSES \
+                        and record["status"] != STATUS_CRASHED:
+                    cache.put(cache_keys[unit], record)
+
+        records = [final[unit] for unit in job.units if unit in final]
+        report = CorpusReport(records,
+                              wall_seconds=time.perf_counter()
+                              - wall_start,
+                              workers=config.workers)
+        metrics.run_end(report.summary())
+        return report
+
+    # -- internals --------------------------------------------------------
+
+    def _run_waves(self, runner: UnitRunner,
+                   pool: Optional["WorkerPool"], pending: List[str],
+                   final: Dict[str, dict], metrics: MetricsStream,
+                   tracer) -> None:
+        """Attempt ``pending`` in waves until every unit is settled or
+        the retry budget is spent; records land in ``final``."""
+        config = self.config
+        breakers: Dict[str, CrashLoopBreaker] = {}
         attempt = 1
         while pending:
             with tracer.span("wave", attempt=attempt,
                              units=len(pending)):
-                wave_records = self._run_wave(job, pending, attempt)
+                if pool is None:
+                    wave_records = [runner.run(unit, attempt)
+                                    for unit in pending]
+                else:
+                    wave_records = self._dispatch_wave(pool, pending,
+                                                       attempt)
             for record in wave_records:
                 final[record["unit"]] = record
                 metrics.unit(record)
@@ -442,41 +462,9 @@ class BatchEngine:
             pending = [unit for unit in pending
                        if final[unit]["status"] in RETRYABLE_STATUSES]
             if pending:
-                delay = self._backoff_delay(attempt)
+                delay = backoff_delay(config, attempt - 1)
                 if delay > 0:
                     time.sleep(delay)
-
-        if cache is not None:
-            for unit, record in final.items():
-                if record["cache"] == "hit" or unit not in cache_keys:
-                    continue
-                # Transient outcomes (crash, deadline, circuit-breaker
-                # trips) stay uncached so the next run retries them.
-                if record["status"] not in RETRYABLE_STATUSES \
-                        and record["status"] != STATUS_CRASHED:
-                    cache.put(cache_keys[unit], record)
-
-        records = [final[unit] for unit in job.units if unit in final]
-        report = CorpusReport(records,
-                              wall_seconds=time.perf_counter()
-                              - wall_start,
-                              workers=config.workers)
-        metrics.run_end(report.summary())
-        return report
-
-    # -- internals --------------------------------------------------------
-
-    def _backoff_delay(self, wave: int) -> float:
-        """Deterministic exponential backoff with seeded jitter before
-        retry wave ``wave`` (the first retry wave is 2)."""
-        config = self.config
-        if config.backoff_base <= 0:
-            return 0.0
-        delay = min(config.backoff_max,
-                    config.backoff_base
-                    * config.backoff_factor ** max(0, wave - 2))
-        rng = random.Random(f"{config.backoff_seed}:{wave}")
-        return delay * (1.0 + config.backoff_jitter * rng.random())
 
     def _result_cache(self, job: CorpusJob) -> ResultCache:
         fingerprint = config_fingerprint(
@@ -493,53 +481,37 @@ class BatchEngine:
         closure = include_closure_digest(fs, unit, job.include_paths)
         return cache.key_for(unit, text, closure)
 
-    def _run_wave(self, job: CorpusJob, units: Sequence[str],
-                  attempt: int) -> List[dict]:
-        config = self.config
-        tasks = [(unit, attempt) for unit in units]
-        if config.workers == 1:
-            _init_worker(job, config.optimization,
-                         config.timeout_seconds, config.fault_hook,
-                         config.profile)
-            return [_run_unit(task) for task in tasks]
-        if attempt == 1:
-            return self._run_pool(job, tasks)
-        # Retry waves isolate each unit in its own pool: when a unit
-        # hard-kills its worker, the broken pool takes every sibling
-        # in-flight future down with it, and sharing a pool again
-        # would let the same unit sink its siblings' retries too.
-        records: List[dict] = []
-        for task in tasks:
-            records.extend(self._run_pool(job, [task]))
-        return records
+    def _dispatch_wave(self, pool: "WorkerPool", units: Sequence[str],
+                       attempt: int) -> List[dict]:
+        """One wave over the pool from ``workers`` dispatcher threads.
 
-    def _run_pool(self, job: CorpusJob,
-                  tasks: List[Tuple[str, int]]) -> List[dict]:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        config = self.config
-        records: List[dict] = []
-        # A hard-killed worker (OOM, segfault) breaks the whole
-        # executor; its in-flight units become retryable error records
-        # and the next wave — driven by ``run``'s retry loop — gets a
-        # brand-new pool.
-        with ProcessPoolExecutor(
-                max_workers=min(config.workers, len(tasks)),
-                initializer=_init_worker,
-                initargs=(job, config.optimization,
-                          config.timeout_seconds,
-                          config.fault_hook,
-                          config.profile)) as pool:
-            futures = {pool.submit(_run_unit, task): task
-                       for task in tasks}
-            for future, task in futures.items():
+        Each unit gets one attempt on its own worker under a fresh
+        deadline: a worker that dies or overruns fails that unit only,
+        as a retryable record."""
+        from repro.serve.admission import Deadline
+        timeout = self.config.timeout_seconds
+        todo = iter(units)  # a list iterator's next() is atomic
+        records: Dict[str, dict] = {}
+
+        def dispatch() -> None:
+            for unit in todo:
+                start = time.perf_counter()
                 try:
-                    records.append(future.result())
-                except BrokenProcessPool:
-                    records.append(error_record(
-                        task[0], STATUS_ERROR,
-                        "worker process died", task[1]))
-                except Exception as exc:
-                    records.append(error_record(
-                        task[0], STATUS_ERROR, repr(exc), task[1]))
-        return records
+                    outcome, record = pool.run_once(unit, "", {},
+                                                    Deadline(timeout))
+                except Exception as exc:  # e.g. EMFILE on respawn
+                    outcome, record = "error", error_record(
+                        unit, STATUS_ERROR, repr(exc))
+                if outcome != "ok":
+                    record["seconds"] = round(
+                        time.perf_counter() - start, 6)
+                record["attempt"] = attempt
+                records[unit] = record
+
+        threads = [threading.Thread(target=dispatch, daemon=True)
+                   for _ in range(min(self.config.workers, len(units)))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return [records[unit] for unit in units]

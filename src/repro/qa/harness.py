@@ -2,10 +2,10 @@
 
 Rides on :mod:`repro.engine`'s batch scheduler — each "unit" is a
 virtual name ``fuzz:<seed>``; a custom :class:`CorpusJob` runner
-(:func:`run_fuzz_unit`, resolved by dotted path inside each worker)
-generates the unit deterministically from its seed, differentially
-checks it, and returns a standard engine record, so fuzz runs get the
-engine's worker pool, per-unit SIGALRM deadlines, retry waves, and
+(:func:`run_fuzz_unit`, given by dotted path) generates the unit
+deterministically from its seed, differentially checks it, and
+returns a standard engine record, so fuzz runs get the engine's
+supervised worker pool, per-unit deadlines, retry waves, and
 JSON-lines metrics for free.
 
 Disagreements are minimized in the parent with the ddmin shrinker and
@@ -24,7 +24,8 @@ from repro.engine.results import (STATUS_CRASHED, STATUS_DEGRADED,
                                   STATUS_DISAGREE, STATUS_ERROR,
                                   STATUS_OK, STATUS_TIMEOUT,
                                   CorpusReport)
-from repro.engine.scheduler import BatchEngine, CorpusJob, EngineConfig
+from repro.engine.scheduler import (BatchEngine, CorpusJob, EngineConfig,
+                                    UnitRunner)
 from repro.qa.differential import DifferentialChecker
 from repro.qa.shrinker import ShrinkBudget, shrink
 
@@ -48,17 +49,17 @@ def _spec_from_args(args: Dict[str, object]) -> FuzzSpec:
                     weights=args.get("weights"))
 
 
-def _checker_from_state(state: dict) -> DifferentialChecker:
+def _checker_from_state(state: UnitRunner) -> DifferentialChecker:
     """One checker per worker process, sharing the worker's tables."""
-    checker = state["runner_cache"].get("checker")
+    checker = state.runner_cache.get("checker")
     if checker is None:
-        args = state.get("runner_args", {})
+        args = state.runner_args
         checker = DifferentialChecker(
             files={}, include_paths=(),
             max_configs=int(args.get("max_configs", 12)),
             parse=bool(args.get("parse", True)),
-            tables=state["superc"].tables)
-        state["runner_cache"]["checker"] = checker
+            tables=state.superc.tables)
+        state.runner_cache["checker"] = checker
     return checker
 
 
@@ -69,9 +70,9 @@ def check_unit(checker: DifferentialChecker, unit: FuzzUnit):
                                 seed=unit.seed, expect_parseable=True)
 
 
-def run_fuzz_unit(state: dict, unit: str) -> dict:
+def run_fuzz_unit(state: UnitRunner, unit: str) -> dict:
     """Engine runner: one fuzz unit inside a worker process."""
-    args = state.get("runner_args", {})
+    args = state.runner_args
     seed = unit_seed(unit)
     fuzz_unit = generate_fuzz_unit(seed, _spec_from_args(args))
     checker = _checker_from_state(state)

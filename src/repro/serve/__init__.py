@@ -16,8 +16,9 @@ sub-second repeat latency, built for interactive variability tooling:
   (edit a header, drop exactly its dependents) and token-level
   fingerprints that short-circuit re-parses after layout-only edits;
 * :class:`AdmissionQueue` (``admission.py``) — bounded queueing with
-  ``status=shed`` load shedding, per-request deadlines reusing the
-  engine's SIGALRM machinery, and graceful drain on shutdown;
+  ``status=shed`` load shedding, per-request deadlines (SIGALRM
+  :func:`~repro.serve.admission.attempt_deadline` without a pool),
+  and graceful drain on shutdown;
 * :class:`ParseServer` / :class:`ParseService` (``server.py``) — the
   newline-delimited JSON protocol (``parse`` / ``invalidate`` /
   ``stats`` / ``shutdown``) over Unix-domain or TCP sockets;
@@ -25,7 +26,8 @@ sub-second repeat latency, built for interactive variability tooling:
   pool: each parse runs in a child process under supervisor-enforced
   deadlines (no SIGALRM), crashed workers restart under seeded
   backoff, and a crash-loop breaker degrades the daemon to inline
-  parsing instead of letting it die;
+  parsing instead of letting it die.  The batch engine runs its
+  parallel and deadlined units on the same pool;
 * :class:`ParseJournal` (``journal.py``) — crash-surviving warm-state
   metadata beside the result cache, so a restarted daemon resumes
   disk/token-tier short-circuiting immediately;

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
 import socket
 import time
 import warnings
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.engine.results import UnitResult
+from repro.engine.scheduler import backoff_delay
 from repro.serve import protocol
 from repro.serve.protocol import STATUS_UNAVAILABLE  # noqa: F401 - compat
 
@@ -119,17 +119,6 @@ class Transport:
     def _request_once(self, op: str, fields: Dict[str, Any]) -> dict:
         raise NotImplementedError
 
-    def _backoff_delay(self, attempt: int) -> float:
-        """Deterministic seeded-jitter delay before retry ``attempt``
-        (1-based) — the engine's retry-pacing formula."""
-        if self.backoff_base <= 0:
-            return 0.0
-        delay = min(self.backoff_max,
-                    self.backoff_base
-                    * self.backoff_factor ** max(0, attempt - 1))
-        rng = random.Random(f"{self.backoff_seed}:{attempt}")
-        return delay * (1.0 + self.backoff_jitter * rng.random())
-
     def request(self, op: str, **fields: Any) -> dict:
         """Send one request and block for its response.
 
@@ -149,7 +138,7 @@ class Transport:
                 last = exc
                 self._reset_connection()
                 if attempts <= self.retries:
-                    delay = self._backoff_delay(attempts)
+                    delay = backoff_delay(self, attempts)
                     if delay > 0:
                         time.sleep(delay)
         return protocol.unavailable_reply(op, attempts, last)

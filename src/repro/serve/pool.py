@@ -13,16 +13,20 @@ each parse into a supervised child process:
 * **Supervisor-enforced deadlines.**  The parent waits on the response
   pipe with ``select`` and a timeout derived from the request's
   :class:`~repro.serve.admission.Deadline`; on expiry the worker is
-  SIGKILLed and the request answered ``status=timeout`` — the engine's
-  ``attempt_deadline`` semantics without SIGALRM's main-thread
-  restriction, so any number of dispatcher threads can serve parses
-  concurrently.
+  SIGKILLed and the request answered ``status=timeout``.  Unlike a
+  SIGALRM deadline this works off the main thread, so any number of
+  dispatcher threads can serve parses concurrently, and work that
+  swallows exceptions cannot escape it.
 * **Supervision.**  A heartbeat thread pings idle workers, recycles
   them after ``max_requests`` served or past an RSS ceiling, and
   replaces the dead.  A crashed worker is restarted under
   deterministic-seeded exponential backoff; a request in flight on a
   crashed worker is retried once on a fresh worker before being
   answered ``status=crashed``.
+* **One attempt, two retry policies.**  :meth:`WorkerPool.run_once`
+  dispatches once and never parses in the parent; the daemon's
+  :meth:`WorkerPool.execute` and the batch engine
+  (``repro.engine.scheduler``) each wrap it in their own policy.
 * **Crash-loop circuit breaker.**  Worker deaths feed the engine's
   :class:`~repro.engine.scheduler.CrashLoopBreaker` (PR 3): enough
   consecutive deaths trip it and the pool degrades to supervised
@@ -43,9 +47,9 @@ oversleep), exercising exactly the crash and deadline paths above.
 from __future__ import annotations
 
 import collections
+import gc
 import json
 import os
-import random
 import select
 import signal
 import struct
@@ -56,7 +60,7 @@ from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
 from repro import chaos
 from repro.engine.results import (STATUS_CRASHED, STATUS_ERROR,
                                   STATUS_TIMEOUT, error_record)
-from repro.engine.scheduler import CrashLoopBreaker
+from repro.engine.scheduler import CrashLoopBreaker, backoff_delay
 from repro.obs.tracer import NULL_TRACER
 from repro.serve import protocol
 from repro.serve.admission import Deadline
@@ -199,11 +203,14 @@ def _child_close_fds(keep: Tuple[int, ...]) -> None:
 def _child_main(state: Any, rfd: int, wfd: int) -> None:
     """The worker loop: framed requests in, framed records out.
 
-    Runs with the parent's warm state (tables, session, file store)
-    inherited copy-on-write; ``reset_after_fork`` replaces inherited
-    locks and detaches cache/journal writers (publishing is the
-    parent's job)."""
+    Runs with the parent's warm state inherited copy-on-write, which
+    provides ``reset_after_fork()`` (fresh locks, no cache/journal
+    writers: publishing is the parent's job), ``files.put`` for
+    overlays and ``_parse_inline(unit, text)`` for the record."""
     _child_close_fds((rfd, wfd))
+    # Keep this worker's collections off (and so from copying) every
+    # page of the inherited warm state.
+    gc.freeze()
     state.reset_after_fork()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
@@ -240,12 +247,12 @@ def _child_main(state: Any, rfd: int, wfd: int) -> None:
 class WorkerPool:
     """Pre-forked parse workers under one supervisor.
 
-    ``execute(unit, text, closure_files, deadline)`` is the single
-    entry point — thread-safe, callable from any number of dispatcher
-    threads — and always returns a record: a parse result, a
-    ``timeout`` record (worker killed at the deadline), a ``crashed``
-    record (died twice on the same request), or an inline-parse result
-    when the pool is degraded or exhausted.
+    :meth:`run_once` (one attempt) and ``execute(unit, text,
+    closure_files, deadline)`` are thread-safe.  ``execute`` always
+    returns a record: a parse result, a ``timeout`` record (worker
+    killed at the deadline), a ``crashed`` record (died twice on the
+    same request), or an inline-parse result when the pool is degraded
+    or exhausted.
     """
 
     def __init__(self, state: Any, config: Optional[PoolConfig] = None,
@@ -357,22 +364,13 @@ class WorkerPool:
             self.tracer.count("serve.worker.spawn")
         return Worker(pid, rfd=res_r, wfd=req_w)
 
-    def _backoff_delay(self, streak: int) -> float:
-        """Deterministic seeded backoff before restart ``streak``
-        (1-based) — the engine's retry-pacing formula."""
-        config = self.config
-        if config.backoff_base <= 0:
-            return 0.0
-        delay = min(config.backoff_max,
-                    config.backoff_base
-                    * config.backoff_factor ** max(0, streak - 1))
-        rng = random.Random(f"{config.backoff_seed}:{streak}")
-        return delay * (1.0 + config.backoff_jitter * rng.random())
-
     def _reap(self, worker: Worker) -> None:
+        """Retire a worker for good: kill it if it still runs and
+        collect its exit status, so no zombie is left behind."""
         self._close_worker_fds(worker)
         try:
-            os.waitpid(worker.pid, os.WNOHANG)
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
         except OSError:
             pass
         with self._cond:
@@ -386,7 +384,7 @@ class WorkerPool:
     def _restart_one(self) -> Optional[Worker]:
         """Backoff + fork one replacement and make it available."""
         self._restart_streak += 1
-        delay = self._backoff_delay(self._restart_streak)
+        delay = backoff_delay(self.config, self._restart_streak)
         if delay > 0:
             time.sleep(delay)
         worker = self._spawn()
@@ -449,11 +447,6 @@ class WorkerPool:
                     if self.tracer.enabled:
                         self.tracer.count("serve.worker.recycle")
                     self._reap(worker)
-                    try:
-                        os.kill(worker.pid, signal.SIGKILL)
-                        os.waitpid(worker.pid, 0)
-                    except OSError:
-                        pass
                     self._restart_streak = 0
                     self._restart_one()
                 else:
@@ -526,10 +519,48 @@ class WorkerPool:
                 return
         self._shutdown_worker(worker)
 
+    def run_once(self, unit: str, text: str, files: Dict[str, str],
+                 deadline: Optional[Deadline] = None) \
+            -> Tuple[str, dict]:
+        """One request on one worker; never parses in this process.
+
+        Returns ``(outcome, record)``: ``ok``, ``timeout`` (worker
+        killed at the deadline), ``crash`` (worker died, replaced) or
+        ``unavailable`` (pool closed, breaker tripped, or no idle
+        worker in time).  Retrying is the caller's policy."""
+        worker = None
+        if not self.breaker.tripped and not self._closed:
+            wire = protocol.WorkerParse(unit, text, files).to_wire()
+            if chaos.ACTIVE is not None:
+                # Fired per dispatch (not per request), so an armed
+                # fault hits one attempt and a retry runs clean.
+                chaos.fire("pool.request", request=wire)
+            worker = self._checkout(deadline)
+        if worker is None:
+            return "unavailable", error_record(
+                unit, STATUS_ERROR, "no pool worker available")
+        outcome, record = self._dispatch(worker, wire, unit, deadline)
+        if outcome == "ok":
+            self.breaker.success()
+            self._restart_streak = 0
+            self._checkin(worker)
+            return outcome, record
+        if outcome == "timeout":
+            self.timeouts += 1
+        else:
+            record = error_record(unit, STATUS_ERROR,
+                                  f"worker pid {worker.pid} died "
+                                  f"serving {unit}")
+        self._on_worker_death(worker)
+        return outcome, record
+
     def execute(self, unit: str, text: str,
                 closure_files: FrozenSet[str],
                 deadline: Optional[Deadline] = None) -> dict:
-        """Run one parse out of process; always returns a record."""
+        """Run one parse out of process; always returns a record.
+
+        Over :meth:`run_once`: a crash is retried once, a timeout is
+        final (its budget is spent), a degraded pool parses inline."""
         files: Dict[str, str] = {}
         for path in closure_files:
             overlay = self.state.files.read(path)
@@ -537,33 +568,12 @@ class WorkerPool:
                 files[path] = overlay
         last_crash = "worker died"
         for attempt in (1, 2):
-            if self.breaker.tripped or self._closed:
-                break
-            wire = protocol.WorkerParse(unit, text, files).to_wire()
-            if chaos.ACTIVE is not None:
-                # Fired per dispatch (not per request), so an armed
-                # worker fault hits attempt 1 and the retry runs clean.
-                chaos.fire("pool.request", request=wire)
-            worker = self._checkout(deadline)
-            if worker is None:
-                break
-            outcome, record = self._dispatch(worker, wire, unit,
-                                             deadline)
-            if outcome == "ok":
-                self.breaker.success()
-                self._restart_streak = 0
-                self._checkin(worker)
+            outcome, record = self.run_once(unit, text, files, deadline)
+            if outcome in ("ok", "timeout"):
                 return record
-            if outcome == "timeout":
-                # The worker was killed at the deadline; the budget is
-                # spent, so there is nothing to retry against.
-                self.timeouts += 1
-                self._on_worker_death(worker)
-                return record
-            # outcome == "crash"
-            last_crash = (f"worker pid {worker.pid} died serving "
-                          f"{unit} (attempt {attempt})")
-            self._on_worker_death(worker)
+            if outcome == "unavailable":
+                break
+            last_crash = f"{record['error']} (attempt {attempt})"
         if self.breaker.tripped or self._closed \
                 or not self._has_workers():
             return self._run_inline(unit, text)

@@ -44,8 +44,8 @@ the shutdown is still served (graceful drain).
 daemon threads that only do admission (cheap, never parse); all
 parsing happens on the single thread that called
 :meth:`ParseServer.serve_forever` — the process's main thread under
-the CLI, which is exactly what lets per-request deadlines reuse the
-engine's SIGALRM :func:`repro.engine.attempt_deadline`.  Off the main
+the CLI, which is exactly what lets per-request deadlines use the
+SIGALRM :func:`repro.serve.admission.attempt_deadline`.  Off the main
 thread (e.g. tests embedding the server in a thread) deadlines degrade
 to admission-time expiry checks.
 
@@ -66,11 +66,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import chaos
 from repro.api import Config
-from repro.engine import DEFAULT_OPTIMIZATION, DeadlineExceeded, \
-    attempt_deadline
+from repro.engine import DEFAULT_OPTIMIZATION
 from repro.obs.tracer import NULL_TRACER
 from repro.serve import protocol
-from repro.serve.admission import AdmissionQueue, Deadline, QueueClosed
+from repro.serve.admission import (AdmissionQueue, Deadline,
+                                   DeadlineExceeded, QueueClosed,
+                                   attempt_deadline)
 from repro.serve.pool import PoolConfig, WorkerPool
 from repro.serve.protocol import (OPS, PROTOCOL_VERSION, STATUS_SHED,
                                   InvalidateRequest, ParseRequest,

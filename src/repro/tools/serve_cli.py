@@ -1,7 +1,7 @@
 """Command-line interface: the persistent parse daemon and its client.
 
 Server mode (foreground; parsing happens on the main thread so
-per-request deadlines get the engine's SIGALRM enforcement).
+per-request deadlines get SIGALRM enforcement).
 ``--listen URL`` is repeatable — one daemon can serve the socket
 dialect and the HTTP frontend concurrently off one warm state::
 

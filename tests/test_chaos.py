@@ -10,7 +10,10 @@ import pytest
 
 from repro import chaos
 from repro.api import Config
-from repro.engine import CrashLoopBreaker
+from repro.corpus import KernelSpec, generate_kernel
+from repro.engine import (STATUS_DEGRADED, STATUS_ERROR, STATUS_OK,
+                          STATUS_TIMEOUT, BatchEngine, CorpusJob,
+                          CrashLoopBreaker, EngineConfig, MetricsStream)
 from repro.engine.cache import ResultCache
 from repro.obs import Tracer
 from repro.serve import Deadline, ParseJournal, PoolConfig, ServerState
@@ -389,6 +392,83 @@ class TestWorkerPool:
         for pid in pids:
             with pytest.raises(OSError):
                 os.kill(pid, 0)  # ESRCH: no such process
+
+
+# -- the batch engine's corpus path on the pool ------------------------
+
+# Four small units: enough that siblings are in flight beside the armed
+# one on two workers.
+CORPUS_SPEC = KernelSpec(seed=13, subsystems=2, drivers_per_subsystem=2,
+                         functions_per_driver=2, figure6_entries=2,
+                         extra_headers_per_subsystem=1)
+USABLE = (STATUS_OK, STATUS_DEGRADED)
+
+
+@pytest.fixture(scope="module")
+def corpus_job():
+    return CorpusJob.from_corpus(generate_kernel(CORPUS_SPEC))
+
+
+def pooled_run(job, plan):
+    """A two-worker engine run with one armed ``pool.request`` fault;
+    returns the report and the failed first attempts."""
+    config = EngineConfig(workers=2, timeout_seconds=5.0, retries=1,
+                          backoff_base=0, use_result_cache=False)
+    metrics = MetricsStream(keep_events=True)
+    with chaos.injected(plan):
+        report = BatchEngine(config).run(job, metrics)
+    failed = [event for event in metrics.events
+              if event["event"] == "unit"
+              and event["status"] not in USABLE]
+    return report, failed
+
+
+class TestBatchEngineChaos:
+    def test_worker_crash_recovers_on_retry(self, corpus_job):
+        serial = BatchEngine(EngineConfig(use_result_cache=False)) \
+            .run(corpus_job)
+        plan = chaos.FaultPlan()
+        plan.arm("pool.request", "worker-crash")
+        report, failed = pooled_run(corpus_job, plan)
+        assert plan.fired("worker-crash") == 1
+        assert [e["status"] for e in failed] == [STATUS_ERROR]
+        retried = [r for r in report.records if r["attempt"] > 1]
+        assert [r["unit"] for r in retried] == [failed[0]["unit"]], \
+            "only the armed unit is retried"
+        assert retried[0]["status"] in USABLE
+        assert report.statuses() == serial.statuses()
+        assert report.subparser_rollup() == serial.subparser_rollup()
+
+    def test_dispatch_error_fails_only_its_unit(self, corpus_job):
+        plan = chaos.FaultPlan()
+        plan.arm("pool.request", "raise")
+        report, failed = pooled_run(corpus_job, plan)
+        assert plan.fired("raise") == 1
+        assert [e["status"] for e in failed] == [STATUS_ERROR]
+        assert "chaos" in failed[0]["error"]
+        retried = [r for r in report.records if r["attempt"] > 1]
+        assert [r["unit"] for r in retried] == [failed[0]["unit"]], \
+            "only the armed unit is retried"
+        assert retried[0]["status"] in USABLE
+        for record in report.records:
+            if record is not retried[0]:
+                assert record["status"] in USABLE
+                assert record["attempt"] == 1
+
+    def test_worker_hang_times_out_alone(self, corpus_job):
+        plan = chaos.FaultPlan()
+        plan.arm("pool.request", "worker-hang", seconds=30.0)
+        report, failed = pooled_run(corpus_job, plan)
+        assert plan.fired("worker-hang") == 1
+        assert [e["status"] for e in failed] == [STATUS_TIMEOUT]
+        retried = [r for r in report.records if r["attempt"] > 1]
+        assert [r["unit"] for r in retried] == [failed[0]["unit"]], \
+            "only the hung unit is retried"
+        assert retried[0]["status"] in USABLE + (STATUS_TIMEOUT,)
+        for record in report.records:
+            if record is not retried[0]:
+                assert record["status"] in USABLE
+                assert record["attempt"] == 1
 
 
 class TestCrashLoopBreaker:

@@ -9,7 +9,7 @@ from repro.corpus import KernelSpec, generate_kernel
 from repro.cpp import DictFileSystem
 from repro.engine import (BatchEngine, CorpusJob, CorpusReport,
                           EngineConfig, MetricsStream, ResultCache,
-                          STATUS_DEGRADED,
+                          STATUS_CRASHED, STATUS_DEGRADED,
                           STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT,
                           format_report, include_closure,
                           include_closure_digest, percentile)
@@ -24,9 +24,15 @@ SMALL_SPEC = KernelSpec(seed=11, subsystems=1, drivers_per_subsystem=2,
                         functions_per_driver=3, figure6_entries=4,
                         extra_headers_per_subsystem=1)
 
-# Fault hooks must be importable by name so worker processes can
-# resolve them under any multiprocessing start method; the target unit
-# travels through the environment (inherited by workers).
+# A corpus big enough that a wave outlives its first dispatch on two
+# workers (4 units).
+FOUR_UNIT_SPEC = KernelSpec(seed=11, subsystems=2, drivers_per_subsystem=2,
+                            functions_per_driver=2, figure6_entries=2,
+                            extra_headers_per_subsystem=1)
+
+# Fault hooks are importable by name (the dotted form the engine
+# resolves); the target unit travels through the environment, which
+# forked workers inherit.
 BAD_UNIT_ENV = "REPRO_ENGINE_TEST_BAD_UNIT"
 
 
@@ -41,9 +47,33 @@ def raising_unit_hook(unit):
         raise RuntimeError("injected failure")
 
 
+def crashing_unit_hook(unit):
+    """Kill the process outright: no exception, no cleanup."""
+    if os.environ.get(BAD_UNIT_ENV) == unit:
+        os._exit(70)
+
+
+def deadline_swallowing_hook(unit):
+    """Sleep 10 s and swallow anything raised meanwhile — an in-process
+    deadline exception included."""
+    import time
+    if os.environ.get(BAD_UNIT_ENV) == unit:
+        end = time.monotonic() + 10
+        while time.monotonic() < end:
+            try:
+                time.sleep(max(0.0, end - time.monotonic()))
+            except BaseException:
+                pass
+
+
 @pytest.fixture(scope="module")
 def small_corpus():
     return generate_kernel(SMALL_SPEC)
+
+
+@pytest.fixture(scope="module")
+def four_unit_corpus():
+    return generate_kernel(FOUR_UNIT_SPEC)
 
 
 def make_config(tmp_path, **kwargs):
@@ -172,6 +202,67 @@ class TestTimeoutAndRetry:
         bad_record = [r for r in report.records if r["unit"] == bad][0]
         assert bad_record["status"] == STATUS_TIMEOUT
         assert bad_record["attempt"] == 1
+
+
+class TestWorkerRuntime:
+    """Units that kill or overstay their worker fail alone."""
+
+    def test_hard_crash_fails_only_its_unit(self, four_unit_corpus,
+                                            tmp_path, monkeypatch):
+        job = CorpusJob.from_corpus(four_unit_corpus)
+        assert len(job.units) == 4
+        bad = job.units[1]
+        monkeypatch.setenv(BAD_UNIT_ENV, bad)
+        config = make_config(
+            tmp_path, workers=2, retries=0, use_result_cache=False,
+            fault_hook="tests.test_engine:crashing_unit_hook")
+        # Reaching the asserts at all shows this process survived.
+        report = BatchEngine(config).run(job)
+        by_unit = {r["unit"]: r for r in report.records}
+        assert by_unit[bad]["status"] not in USABLE
+        assert "died" in by_unit[bad]["error"]
+        for unit in job.units:
+            if unit != bad:
+                assert by_unit[unit]["status"] in USABLE
+                assert by_unit[unit]["attempt"] == 1
+
+    def test_crash_loop_trips_then_reruns_clean(self, small_corpus,
+                                                tmp_path, monkeypatch):
+        job = CorpusJob.from_corpus(small_corpus)
+        bad = job.units[0]
+        monkeypatch.setenv(BAD_UNIT_ENV, bad)
+        config = make_config(
+            tmp_path, workers=2, retries=3, crash_loop_threshold=2,
+            backoff_base=0,
+            fault_hook="tests.test_engine:crashing_unit_hook")
+        report = BatchEngine(config).run(job)
+        by_unit = {r["unit"]: r for r in report.records}
+        assert by_unit[bad]["status"] == STATUS_CRASHED
+        assert by_unit[bad]["attempt"] == 2
+        for unit in job.units[1:]:
+            assert by_unit[unit]["status"] in USABLE
+            assert by_unit[unit]["attempt"] == 1
+        monkeypatch.delenv(BAD_UNIT_ENV)
+        rerun = BatchEngine(config).run(job)
+        by_unit = {r["unit"]: r for r in rerun.records}
+        assert by_unit[bad]["cache"] == "miss"
+        assert by_unit[bad]["status"] in USABLE
+
+    def test_swallowed_deadline_still_times_out(self, small_corpus,
+                                                tmp_path, monkeypatch):
+        job = CorpusJob.from_corpus(small_corpus)
+        bad = job.units[0]
+        monkeypatch.setenv(BAD_UNIT_ENV, bad)
+        config = make_config(
+            tmp_path, workers=1, timeout_seconds=0.2, retries=0,
+            use_result_cache=False,
+            fault_hook="tests.test_engine:deadline_swallowing_hook")
+        report = BatchEngine(config).run(job)
+        by_unit = {r["unit"]: r for r in report.records}
+        assert by_unit[bad]["status"] == STATUS_TIMEOUT
+        assert by_unit[bad]["seconds"] < 2.0
+        for unit in job.units[1:]:
+            assert by_unit[unit]["status"] in USABLE
 
 
 class TestResultCache:

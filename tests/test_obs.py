@@ -2,6 +2,7 @@
 public API (``repro.api``)."""
 
 import json
+import sys
 import warnings
 
 import pytest
@@ -325,6 +326,12 @@ class TestUnifiedApi:
         config = Config(options=base, kill_switch=9)
         assert config.resolved_options().kill_switch == 9
         assert base.kill_switch != 9
+
+    @pytest.mark.skipif(sys.version_info < (3, 10),
+                        reason="keyword-only dataclass fields need 3.10")
+    def test_config_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            Config(None, {"a.c": "int x;\n"})
 
     def test_config_replace_and_build(self):
         config = Config(files={"a.c": "int x;\n"})

@@ -22,6 +22,8 @@ from repro.cpp import DictFileSystem, PreprocessorError
 from repro.cpp.conditions import defined_var
 from repro.engine import (BatchEngine, CorpusJob, EngineConfig,
                           STATUS_CRASHED)
+from repro.engine import scheduler
+from repro.engine.scheduler import backoff_delay
 from repro.errors import (Diagnostic, PHASE_CONDITION, PHASE_EXPANSION,
                           PHASE_INCLUDE, PHASE_LEX, PHASE_PARSE,
                           PHASE_RESOURCE, ResourceBudget,
@@ -29,6 +31,9 @@ from repro.errors import (Diagnostic, PHASE_CONDITION, PHASE_EXPANSION,
 from repro.parser.fmlr import (FMLROptions, OPTIMIZATION_LEVELS,
                                SubparserExplosion)
 from repro.qa import DifferentialChecker
+from repro.serve import client, pool
+from repro.serve.client import SocketTransport
+from repro.serve.pool import PoolConfig, WorkerPool
 from repro.superc import (STATUS_DEGRADED, STATUS_OK,
                           STATUS_PARSE_FAILED, SuperC)
 
@@ -416,23 +421,65 @@ def always_raising_hook(unit):
 
 
 class TestScheduler:
-    def test_backoff_is_deterministic(self):
-        config = dict(backoff_base=0.05, backoff_factor=2.0,
-                      backoff_max=2.0, backoff_jitter=0.5,
-                      backoff_seed=7)
-        a = BatchEngine(EngineConfig(**config))
-        b = BatchEngine(EngineConfig(**config))
-        delays = [a._backoff_delay(wave) for wave in range(2, 9)]
-        assert delays == [b._backoff_delay(w) for w in range(2, 9)]
-        # Exponential growth up to the cap (jitter <= 50% cannot
-        # reorder consecutive doublings).
-        assert all(later >= earlier for earlier, later
-                   in zip(delays, delays[1:]))
-        assert max(delays) <= 2.0 * 1.5
+    BACKOFF = dict(backoff_base=0.05, backoff_factor=2.0,
+                   backoff_max=2.0, backoff_jitter=0.5, backoff_seed=7)
 
-    def test_backoff_disabled(self):
-        engine = BatchEngine(EngineConfig(backoff_base=0))
-        assert engine._backoff_delay(5) == 0.0
+    def backoff_callers(self, tmp_path):
+        """The three retry loops' knobs: batch waves, pool restarts,
+        client reconnects."""
+        return (EngineConfig(retries=2, crash_loop_threshold=0,
+                             use_result_cache=False,
+                             fault_hook="tests.test_robustness:"
+                                        "always_raising_hook",
+                             **self.BACKOFF),
+                PoolConfig(**self.BACKOFF),
+                SocketTransport(socket_path=str(tmp_path / "nope.sock"),
+                                retries=2, **self.BACKOFF))
+
+    def test_backoff_is_deterministic(self, tmp_path, monkeypatch):
+        callers = self.backoff_callers(tmp_path)
+        twins = self.backoff_callers(tmp_path)
+        for knobs, twin in zip(callers, twins):
+            delays = [backoff_delay(knobs, retry) for retry in range(1, 8)]
+            assert delays == [backoff_delay(twin, retry)
+                              for retry in range(1, 8)]
+            # Exponential growth up to the cap (jitter <= 50% cannot
+            # reorder consecutive doublings).
+            assert all(later >= earlier for earlier, later
+                       in zip(delays, delays[1:]))
+            assert max(delays) <= 2.0 * 1.5
+            # Each delay is its capped exponential step plus at most
+            # 50% jitter.
+            steps = [min(2.0, 0.05 * 2.0 ** (retry - 1))
+                     for retry in range(1, 8)]
+            assert all(step <= delay <= step * 1.5
+                       for step, delay in zip(steps, delays))
+        # Each caller paces its retries through the one helper, with
+        # its own knobs and a 1-based retry index.
+        calls = []
+
+        def spy(knobs, retry):
+            calls.append((knobs, retry))
+            return 0.0
+
+        for module in (scheduler, pool, client):
+            monkeypatch.setattr(module, "backoff_delay", spy)
+        engine_config, pool_config, transport = callers
+        monkeypatch.setenv(BAD_UNIT_ENV, "bad.c")
+        BatchEngine(engine_config).run(
+            CorpusJob(["bad.c"], files={"bad.c": "int x;\n"}))
+        idle_pool = WorkerPool(None, pool_config)
+        monkeypatch.setattr(idle_pool, "_spawn", lambda: None)
+        idle_pool._restart_one()
+        transport.request("ping")
+        assert calls == [(engine_config, 1), (engine_config, 2),
+                         (pool_config, 1),
+                         (transport, 1), (transport, 2)]
+
+    def test_backoff_disabled(self, tmp_path):
+        for knobs in self.backoff_callers(tmp_path):
+            knobs.backoff_base = 0
+            assert backoff_delay(knobs, 5) == 0.0
 
     def test_crash_loop_circuit_breaker(self, tmp_path, monkeypatch):
         job = CorpusJob(["good.c", "bad.c"],

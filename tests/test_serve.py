@@ -10,8 +10,8 @@ import pytest
 from repro import chaos
 from repro.api import Config, is_result
 from repro.cpp import DictFileSystem
-from repro.engine import (BatchEngine, CorpusJob, EngineConfig,
-                          attempt_deadline, DeadlineExceeded)
+from repro.engine import BatchEngine, CorpusJob, EngineConfig
+from repro.engine.scheduler import backoff_delay
 from repro.serve import (AdmissionQueue, Deadline, FileStore,
                          InvalidationIndex, ParseServer, ParseService,
                          PoolConfig, QueueClosed, STATUS_SHED,
@@ -19,6 +19,7 @@ from repro.serve import (AdmissionQueue, Deadline, FileStore,
                          ServerState, TIER_DISK, TIER_MEMORY,
                          TIER_TOKEN, file_token_digest,
                          token_fingerprint)
+from repro.serve.admission import DeadlineExceeded, attempt_deadline
 from repro.serve.incremental import build_resolved_include_graph
 
 # A corpus with a header shared by exactly two of three units, plus a
@@ -626,8 +627,8 @@ class TestClientRetry:
                       backoff_jitter=0.5, backoff_seed=3)
         one = ServeClient(**kwargs)
         two = ServeClient(**kwargs)
-        delays = [one._backoff_delay(n) for n in range(1, 6)]
-        assert delays == [two._backoff_delay(n) for n in range(1, 6)]
+        delays = [backoff_delay(one, n) for n in range(1, 6)]
+        assert delays == [backoff_delay(two, n) for n in range(1, 6)]
         assert all(delay <= 0.4 * 1.5 for delay in delays), \
             "bounded by backoff_max plus jitter"
         assert delays[1] > delays[0], "exponential ramp"
