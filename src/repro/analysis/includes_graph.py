@@ -12,14 +12,12 @@ includes, and cycle detection (which guard macros usually mask).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s+[<"]([^>"]+)[>"]',
                          re.MULTILINE)
-_INCLUDE_DELIM_RE = re.compile(
-    r'^[ \t]*#[ \t]*include\w*[ \t]+([<"])([^>"\n]+)[>"]', re.MULTILINE)
 
 
 def build_include_graph(files: Dict[str, str],
@@ -40,42 +38,6 @@ def build_include_graph(files: Dict[str, str],
                     graph.add_edge(path, candidate)
                     break
     return graph
-
-
-def build_resolved_include_graph(files: Dict[str, str],
-                                 include_paths: Sequence[str] = ()) \
-        -> nx.DiGraph:
-    """Directed include graph using the preprocessor's search rules.
-
-    Unlike :func:`build_include_graph` (a heuristic prefix-based
-    resolver for source-tree analytics), this resolves every
-    ``#include`` operand with :class:`repro.cpp.IncludeResolver` over
-    the given ``include_paths`` — the same resolution the parse
-    pipeline and the engine's include-closure digests perform — so the
-    graph agrees exactly with what a parse of each unit would read.
-    The serve layer's reverse-invalidation walk is built on it.
-    """
-    from repro.cpp import DictFileSystem, IncludeResolver
-    resolver = IncludeResolver(DictFileSystem(files), include_paths)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(files)
-    for path, text in files.items():
-        for delim, name in _INCLUDE_DELIM_RE.findall(text):
-            resolved = resolver.resolve(name, delim == '"', path)
-            if resolved is not None and resolved in files:
-                graph.add_edge(path, resolved)
-    return graph
-
-
-def dependent_files(graph: nx.DiGraph, path: str) -> Set[str]:
-    """Every file whose parse could change when ``path`` changes: the
-    reverse transitive closure (all ancestors), plus ``path`` itself
-    when present.  Files outside the graph have no dependents."""
-    if path not in graph:
-        return set()
-    dependents = set(nx.ancestors(graph, path))
-    dependents.add(path)
-    return dependents
 
 
 def transitive_inclusion_counts(graph: nx.DiGraph) -> Dict[str, int]:

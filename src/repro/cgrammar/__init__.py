@@ -16,6 +16,7 @@ from repro.parser.lalr import (TABLE_BLOB_VERSION, TableBlobError,
                                Tables, from_blob, generate, to_blob)
 
 _TABLES: Optional[Tables] = None
+_TABLES_KEY: Optional[str] = None
 
 
 def cache_root() -> str:
@@ -43,8 +44,12 @@ def _grammar_key(grammar) -> str:
 
 
 def c_tables_key() -> str:
-    """Content hash of the C grammar (the table cache key)."""
-    return _grammar_key(build_c_grammar())
+    """Content hash of the C grammar (the table cache key), computed
+    once per process."""
+    global _TABLES_KEY
+    if _TABLES_KEY is None:
+        _TABLES_KEY = _grammar_key(build_c_grammar())
+    return _TABLES_KEY
 
 
 def c_tables_cache_path() -> str:
@@ -56,11 +61,11 @@ def c_tables(use_cache: bool = True) -> Tables:
     """LALR tables for the C grammar (generated once per process and
     cached on disk — versioned blobs, see ``repro.parser.lalr`` — so
     other processes deserialize instead of regenerating)."""
-    global _TABLES
+    global _TABLES, _TABLES_KEY
     if _TABLES is not None:
         return _TABLES
     grammar = build_c_grammar()
-    key = _grammar_key(grammar)
+    key = _TABLES_KEY = _grammar_key(grammar)
     path = _cache_path(key)
     if use_cache and os.path.exists(path):
         try:

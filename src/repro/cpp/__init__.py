@@ -19,8 +19,9 @@ from repro.cpp.expression import (ExprError, evaluate_int,
                                   parse_expression)
 from repro.cpp.hoist import hoist, unhoist
 from repro.cpp.includes import (DictFileSystem, FileSystem,
-                                IncludeResolver, RealFileSystem,
-                                detect_guard)
+                                IncludeResolver, ReadRecorder,
+                                RealFileSystem, detect_guard,
+                                text_digest)
 from repro.cpp.macro_table import (FREE, UNDEFINED, MacroDefinition,
                                    MacroTable)
 from repro.cpp.preprocessor import (DEFAULT_BUILTINS, CompilationUnit,
@@ -35,9 +36,10 @@ __all__ = [
     "DEFAULT_BUILTINS", "DictFileSystem", "Expander", "ExpansionStats",
     "ExprError", "FREE", "FileSystem", "IncludeResolver",
     "MacroDefinition", "MacroTable", "Preprocessor", "PreprocessorError",
-    "PreprocessorStats", "RealFileSystem", "SimplePreprocessor",
+    "PreprocessorStats", "ReadRecorder", "RealFileSystem",
+    "SimplePreprocessor",
     "UNDEFINED", "count_conditionals", "defined_var", "detect_guard",
     "evaluate_int", "expr_var", "hoist", "is_flat", "iter_tokens",
     "map_conditions", "max_depth", "parse_expression", "project",
-    "render", "token_count", "unhoist", "value_var",
+    "render", "text_digest", "token_count", "unhoist", "value_var",
 ]

@@ -10,16 +10,28 @@ Guard macros are detected gcc-style: a header whose first directive is
 ``G``.  Guards feed two behaviours: rule 4a of the condition conversion
 (``defined(G)`` for free G is *false*, §3.2) and the skip-reinclusion
 optimization ("Reinclude when guard macro is not false", Table 1).
+
+:class:`ReadRecorder` logs what one preprocessor run read, failed
+search-path probes included: that read-set is the only record of a
+unit's dependencies (computed includes, §2.1, resolve only once the
+preprocessor has run), and every cache keyed on a parse validates
+against it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lexer import lex_logical_lines
 from repro.lexer.tokens import TokenKind
+
+
+def text_digest(text: str) -> str:
+    """Content digest of one file, as read-sets record it."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class FileSystem:
@@ -30,6 +42,11 @@ class FileSystem:
 
     def exists(self, path: str) -> bool:
         return self.read(path) is not None
+
+    def digest(self, path: str) -> Optional[str]:
+        """:func:`text_digest` of ``path``, or None when missing."""
+        text = self.read(path)
+        return None if text is None else text_digest(text)
 
 
 class DictFileSystem(FileSystem):
@@ -58,6 +75,27 @@ class RealFileSystem(FileSystem):
 
     def exists(self, path: str) -> bool:
         return os.path.isfile(path)
+
+
+class ReadRecorder(FileSystem):
+    """Wraps a file system for one preprocessor run and logs every
+    ``read``/``exists`` it answers in :attr:`reads`: path -> content
+    digest, or None for a path that was missing (a failed search-path
+    probe).  Texts are kept for the run, so a header read twice is
+    read and hashed once."""
+
+    def __init__(self, base: FileSystem):
+        self.base = base
+        self.reads: Dict[str, Optional[str]] = {}
+        self._texts: Dict[str, Optional[str]] = {}
+
+    def read(self, path: str) -> Optional[str]:
+        if path in self._texts:
+            return self._texts[path]
+        text = self.base.read(path)
+        self._texts[path] = text
+        self.reads[path] = None if text is None else text_digest(text)
+        return text
 
 
 class IncludeResolver:

@@ -27,7 +27,7 @@ module for directory trees and generated corpora.
 """
 
 from repro.engine.cache import (RESULT_CACHE_VERSION, ResultCache,
-                                config_fingerprint, include_closure,
+                                config_fingerprint,
                                 include_closure_digest)
 from repro.engine.metrics import STREAM_SCHEMA_VERSION, MetricsStream
 from repro.engine.results import (RETRYABLE_STATUSES, STATUS_CRASHED,
@@ -51,6 +51,6 @@ __all__ = [
     "STATUS_PARSE_FAILED", "STATUS_TIMEOUT", "STREAM_SCHEMA_VERSION",
     "UnitResult",
     "config_fingerprint", "error_record", "format_report",
-    "include_closure", "include_closure_digest", "percentile",
+    "include_closure_digest", "percentile",
     "record_from_result",
 ]

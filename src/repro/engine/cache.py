@@ -7,11 +7,16 @@ explicit ``cache_dir``), both derived data that is safe to delete:
   (``repro.parser.lalr.to_blob``) keyed by a content hash of the C
   grammar, so a new process deserializes prebuilt tables instead of
   regenerating the LR(0) automaton and DeRemer–Pennello lookaheads;
-* the **result cache** — per-unit parse summaries keyed by the source
-  file's hash, the hash of its include closure, and a fingerprint of
-  the job configuration (include paths, builtin/extra macros,
-  optimization level), so a re-run over an unchanged corpus skips
-  straight to the recorded statistics.
+* the **result cache** — one blob per ``(unit, source digest)`` under
+  a directory named by :func:`config_fingerprint` (include paths,
+  builtin/extra macros, optimization level, grammar and code
+  identity).  A blob is ``{"reads": ..., "record": ...}``: the record
+  plus the read-set the preprocessor logged while producing it
+  (``SuperCResult.reads``: every file it read, with its digest, and
+  every search-path probe that found nothing, as None).  A probe is a
+  hit only while :func:`include_closure_digest` finds every digest
+  unchanged and every missing path still missing — computed includes
+  (§2.1) included, since the set is what the parse actually read.
 
 Cached result records are the engine's summary dicts (status, timing
 breakdown, subparser counts, preprocessor statistics) — not ASTs — so
@@ -23,12 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
+import repro
 from repro import chaos
-from repro.cgrammar import cache_root
-from repro.cpp import FileSystem, IncludeResolver
+from repro.cgrammar import c_tables_key, cache_root
+from repro.cpp import FileSystem
 from repro.obs.tracer import NULL_TRACER
 
 # Bump to invalidate every cached result record (schema or semantics
@@ -37,70 +42,78 @@ from repro.obs.tracer import NULL_TRACER
 #    became STATUS_DEGRADED.
 # 3: timing gained "total"; records gained "profile" (repro.obs
 #    per-unit profile summary, None when not profiling).
-RESULT_CACHE_VERSION = 3
+# 4: blobs became {"reads", "record"}, keyed by unit + source digest.
+RESULT_CACHE_VERSION = 4
 
-_INCLUDE_RE = re.compile(
-    r'^[ \t]*#[ \t]*include\w*[ \t]+([<"])([^>"\n]+)[>"]', re.MULTILINE)
+_CODE_HASH: Optional[str] = None
+
+
+def code_hash() -> str:
+    """Hash of the ``repro`` package's Python sources, computed once
+    per process: a record is only as current as the code that made
+    it."""
+    global _CODE_HASH
+    if _CODE_HASH is None:
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        digest = hashlib.sha256()
+        for directory, dirnames, filenames in os.walk(root):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(directory, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as handle:
+                    digest.update(hashlib.sha256(handle.read()).digest())
+        _CODE_HASH = digest.hexdigest()[:16]
+    return _CODE_HASH
 
 
 def config_fingerprint(include_paths: Sequence[str],
                        builtins: Optional[Dict[str, str]],
                        extra_definitions: Optional[Dict[str, str]],
                        optimization: str) -> str:
-    """Hash of everything besides the sources that shapes a parse."""
+    """Hash of everything besides the files read that shapes a
+    record: the job configuration, the C grammar and the code."""
     payload = json.dumps({
         "version": RESULT_CACHE_VERSION,
         "include_paths": list(include_paths),
         "builtins": builtins,
         "extra_definitions": extra_definitions,
         "optimization": optimization,
+        "grammar": c_tables_key(),
+        "code": code_hash(),
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def include_closure(fs: FileSystem, unit: str,
-                    include_paths: Sequence[str]) \
-        -> Tuple[str, FrozenSet[str]]:
-    """Digest *and* member set of ``unit``'s transitive include closure.
-
-    A conservative textual approximation: every ``#include`` operand is
-    chased regardless of the conditionals around it (computed includes
-    contribute their operand text instead of a file).  Over-approximate
-    is the safe direction for a cache key — editing any header a unit
-    could see in any configuration invalidates the unit's entry.
-
-    The member set (every path visited, the unit included) is what the
-    serve layer's reverse-invalidation index consumes: ``invalidate(h)``
-    must drop exactly the units whose closure contains ``h``.
-    """
-    resolver = IncludeResolver(fs, include_paths)
+def result_key(unit: str, source_text: str) -> str:
+    """Result-cache key: the unit's path and its source digest."""
     digest = hashlib.sha256()
-    seen = set()
-    stack = [unit]
-    while stack:
-        path = stack.pop()
-        if path in seen:
-            continue
-        seen.add(path)
-        text = fs.read(path)
-        if text is None:
-            continue
-        digest.update(path.encode())
-        digest.update(hashlib.sha256(text.encode()).digest())
-        for match in sorted(_INCLUDE_RE.findall(text)):
-            delim, name = match
-            resolved = resolver.resolve(name, delim == '"', path)
-            if resolved is None:
-                digest.update(f"<unresolved:{name}>".encode())
-            else:
-                stack.append(resolved)
-    return digest.hexdigest(), frozenset(seen)
+    digest.update(unit.encode())
+    digest.update(hashlib.sha256(source_text.encode()).digest())
+    return digest.hexdigest()[:32]
 
 
-def include_closure_digest(fs: FileSystem, unit: str,
-                           include_paths: Sequence[str]) -> str:
-    """Hash the transitive include closure of ``unit`` (digest only)."""
-    return include_closure(fs, unit, include_paths)[0]
+def include_closure_digest(fs: FileSystem,
+                           reads: Mapping[str, Optional[str]]) -> bool:
+    """The read-set check: True while every path of ``reads`` still
+    has its recorded digest on ``fs`` (None: is still missing).
+
+    Keeps the name of the include-closure digest it replaced, which
+    perfbench's trace wraps as the probe's dependency check."""
+    for path, digest in reads.items():
+        if fs.digest(path) != digest:
+            return False
+    return True
+
+
+def is_read_set(reads: object) -> bool:
+    """True for a well-formed read-set: path -> digest or None."""
+    return isinstance(reads, dict) and all(
+        isinstance(path, str) and (digest is None
+                                   or isinstance(digest, str))
+        for path, digest in reads.items())
 
 
 class ResultCache:
@@ -122,18 +135,15 @@ class ResultCache:
         self.misses = 0
         self.corrupt = 0
 
-    def key_for(self, unit: str, source_text: str,
-                closure_digest: str) -> str:
-        digest = hashlib.sha256()
-        digest.update(unit.encode())
-        digest.update(hashlib.sha256(source_text.encode()).digest())
-        digest.update(closure_digest.encode())
-        return digest.hexdigest()[:32]
-
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str,
+            current: Optional[Callable[[dict], bool]] = None) \
+            -> Optional[dict]:
+        """The blob ``{"reads", "record"}`` stored under ``key``, or
+        None.  With ``current``, a blob whose read-set it rejects is
+        stale: a miss, left for the re-parse to overwrite."""
         path = self._path(key)
         if chaos.ACTIVE is not None:
             chaos.fire("cache.get", path=path)
@@ -144,10 +154,12 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            record = json.loads(data.decode("utf-8"))
+            blob = json.loads(data.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            record = None
-        if not isinstance(record, dict):
+            blob = None
+        if not isinstance(blob, dict) \
+                or not is_read_set(blob.get("reads")) \
+                or not isinstance(blob.get("record"), dict):
             # Truncated write, bit rot, or a non-record blob: miss,
             # and delete the evidence so it cannot poison later runs.
             self.corrupt += 1
@@ -159,11 +171,15 @@ class ResultCache:
             except OSError:
                 pass
             return None
+        if current is not None and not current(blob["reads"]):
+            self.misses += 1
+            return None
         self.hits += 1
-        return record
+        return blob
 
-    def put(self, key: str, record: dict) -> None:
-        """Atomically publish one record.
+    def put(self, key: str, reads: Mapping[str, Optional[str]],
+            record: dict) -> None:
+        """Atomically publish one record with its read-set.
 
         The record is serialized to a private temp file first and only
         then renamed over the final path (``os.replace`` is atomic on
@@ -180,7 +196,8 @@ class ResultCache:
                 chaos.fire("cache.put", path=self._path(key))
             os.makedirs(self.directory, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(record, handle)
+                json.dump({"reads": dict(reads), "record": record},
+                          handle)
             os.replace(tmp, self._path(key))
         except (OSError, TypeError, ValueError):
             try:

@@ -13,8 +13,8 @@ module is the driver that makes such runs practical:
   that dies (hard kill, OOM, a deadline) fails only its own unit;
 * failed attempts are retried in waves, up to ``retries`` times, under
   seeded backoff and a per-unit :class:`CrashLoopBreaker`;
-* unchanged units are answered from the :class:`ResultCache` without
-  spawning any work at all.
+* units whose source and recorded read-set are unchanged are answered
+  from the :class:`ResultCache` without spawning any work at all.
 
 Results come back as plain record dicts (see ``repro.engine.results``)
 and are folded into a :class:`CorpusReport`.
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, \
 
 from repro.cpp import DictFileSystem, FileSystem, RealFileSystem
 from repro.engine.cache import (ResultCache, config_fingerprint,
-                                include_closure_digest)
+                                include_closure_digest, result_key)
 from repro.engine.metrics import MetricsStream
 from repro.engine.results import (RETRYABLE_STATUSES, STATUS_CRASHED,
                                   STATUS_ERROR, CorpusReport,
@@ -275,7 +275,11 @@ class UnitRunner:
         self.runner_cache: dict = {}
 
     def run(self, unit: str, attempt: int = 1) -> dict:
-        """Parse one unit (or apply the custom runner); never raises."""
+        """Parse one unit (or apply the custom runner); never raises.
+
+        A parse's record carries the parse's read-set under
+        ``"reads"``, a field the engine pops before anything else
+        sees the record."""
         start = time.perf_counter()
         try:
             if self.hook is not None:
@@ -297,6 +301,7 @@ class UnitRunner:
             result = superc.parse_source(text, unit)
             record = record_from_result(unit, result, attempt,
                                         time.perf_counter() - start)
+            record["reads"] = result.reads
             if superc.tracer.enabled:
                 # Profile captured into the record; drop the raw spans
                 # so a long-lived tracer stays bounded.
@@ -339,8 +344,8 @@ class BatchEngine:
         config = self.config
         metrics = metrics or MetricsStream()
         wall_start = time.perf_counter()
-        # The result cache keys on source + include closure, which a
-        # custom runner's outcome may not depend on alone — skip it.
+        # The result cache keys on source + read-set, which a custom
+        # runner's outcome may not depend on alone — skip it.
         cache = self._result_cache(job) \
             if config.use_result_cache and job.runner is None else None
         metrics.run_start(len(job.units), config.workers,
@@ -348,17 +353,24 @@ class BatchEngine:
                           result_cache=cache is not None)
 
         final: Dict[str, dict] = {}
+        reads: Dict[str, Optional[dict]] = {}
         pending: List[str] = []
         cache_keys: Dict[str, str] = {}
         fs = job.filesystem()
+
+        def current(unit_reads: dict) -> bool:
+            return include_closure_digest(fs, unit_reads)
+
         with tracer.span("cache-probe", units=len(job.units)):
             for unit in job.units:
                 hit = None
                 if cache is not None:
-                    key = self._unit_key(cache, fs, job, unit)
-                    if key is not None:
-                        cache_keys[unit] = key
-                        hit = cache.get(key)
+                    text = fs.read(unit)
+                    if text is not None:
+                        key = cache_keys[unit] = result_key(unit, text)
+                        blob = cache.get(key, current)
+                        if blob is not None:
+                            hit = blob["record"]
                 if hit is not None:
                     hit = dict(hit)
                     hit["cache"] = "hit"
@@ -385,21 +397,22 @@ class BatchEngine:
                     size=config.workers, max_requests=0,
                     backoff_base=0, breaker_threshold=0)).start()
             try:
-                self._run_waves(runner, pool, pending, final, metrics,
-                                tracer)
+                self._run_waves(runner, pool, pending, final, reads,
+                                metrics, tracer)
             finally:
                 if pool is not None:
                     pool.close()
 
         if cache is not None:
             for unit, record in final.items():
-                if record["cache"] == "hit" or unit not in cache_keys:
+                if record["cache"] == "hit" or unit not in cache_keys \
+                        or reads.get(unit) is None:
                     continue
                 # Transient outcomes (crash, deadline, circuit-breaker
                 # trips) stay uncached so the next run retries them.
                 if record["status"] not in RETRYABLE_STATUSES \
                         and record["status"] != STATUS_CRASHED:
-                    cache.put(cache_keys[unit], record)
+                    cache.put(cache_keys[unit], reads[unit], record)
 
         records = [final[unit] for unit in job.units if unit in final]
         report = CorpusReport(records,
@@ -413,10 +426,12 @@ class BatchEngine:
 
     def _run_waves(self, runner: UnitRunner,
                    pool: Optional["WorkerPool"], pending: List[str],
-                   final: Dict[str, dict], metrics: MetricsStream,
-                   tracer) -> None:
+                   final: Dict[str, dict],
+                   reads: Dict[str, Optional[dict]],
+                   metrics: MetricsStream, tracer) -> None:
         """Attempt ``pending`` in waves until every unit is settled or
-        the retry budget is spent; records land in ``final``."""
+        the retry budget is spent; records land in ``final`` and their
+        read-sets in ``reads``."""
         config = self.config
         breakers: Dict[str, CrashLoopBreaker] = {}
         attempt = 1
@@ -430,6 +445,7 @@ class BatchEngine:
                     wave_records = self._dispatch_wave(pool, pending,
                                                        attempt)
             for record in wave_records:
+                reads[record["unit"]] = record.pop("reads", None)
                 final[record["unit"]] = record
                 metrics.unit(record)
             # Crash-loop circuit breaker: a unit that has crashed or
@@ -471,15 +487,6 @@ class BatchEngine:
             job.include_paths, job.builtins, job.extra_definitions,
             self.config.optimization)
         return ResultCache(self.config.cache_dir, fingerprint)
-
-    @staticmethod
-    def _unit_key(cache: ResultCache, fs: FileSystem, job: CorpusJob,
-                  unit: str) -> Optional[str]:
-        text = fs.read(unit)
-        if text is None:
-            return None
-        closure = include_closure_digest(fs, unit, job.include_paths)
-        return cache.key_for(unit, text, closure)
 
     def _dispatch_wave(self, pool: "WorkerPool", units: Sequence[str],
                        attempt: int) -> List[dict]:

@@ -17,6 +17,9 @@ import re
 import time
 from typing import Dict, List, Optional, Tuple
 
+import networkx
+
+from repro.analysis.includes_graph import build_include_graph
 from repro.baselines import FormulaManager, GccLike, allyesconfig
 from repro.cgrammar import c_tables, classify, make_context_factory
 from repro.corpus import KernelCorpus
@@ -72,21 +75,9 @@ class LatencyDistribution:
 def unit_size_bytes(corpus: KernelCorpus, unit: str) -> int:
     """Compilation-unit size: the C file plus the closure of its
     includes (Figure 10's x axis)."""
-    include_re = re.compile(r'^\s*#\s*include\s+[<"]([^>"]+)[>"]',
-                            re.MULTILINE)
-    seen = set()
-    stack = [unit]
-    total = 0
-    while stack:
-        path = stack.pop()
-        if path in seen or path not in corpus.files:
-            continue
-        seen.add(path)
-        text = corpus.files[path]
-        total += len(text)
-        for name in include_re.findall(text):
-            stack.append("include/" + name)
-    return total
+    reached = networkx.descendants(build_include_graph(corpus.files),
+                                   unit)
+    return sum(len(corpus.files[path]) for path in reached | {unit})
 
 
 def measure_superc(corpus: KernelCorpus) -> LatencyDistribution:

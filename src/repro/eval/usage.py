@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.includes_graph import (build_include_graph,
+                                           transitive_inclusion_counts)
 from repro.corpus import KernelCorpus
 from repro.parser.ast import Node, StaticChoice
 from repro.superc import SuperC
@@ -99,33 +101,8 @@ def top_included_headers(corpus: KernelCorpus,
                          count: int = 5) -> List[Tuple[str, int, float]]:
     """Table 2b: headers ranked by how many C files (transitively)
     include them; returns (header, files, percent-of-C-files)."""
-    include_re = re.compile(r'^\s*#\s*include\s+[<"]([^>"]+)[>"]',
-                            re.MULTILINE)
-    direct: Dict[str, List[str]] = {}
-    for path, text in corpus.files.items():
-        edges = []
-        for name in include_re.findall(text):
-            target = "include/" + name
-            if target in corpus.files:
-                edges.append(target)
-        direct[path] = edges
-
-    def closure(path: str) -> set:
-        seen: set = set()
-        stack = list(direct.get(path, ()))
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(direct.get(current, ()))
-        return seen
-
+    counts = transitive_inclusion_counts(build_include_graph(corpus.files))
     c_files = corpus.c_files()
-    counts: Dict[str, int] = {}
-    for c_file in c_files:
-        for header in closure(c_file):
-            counts[header] = counts.get(header, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     total = len(c_files) or 1
     return [(header, hits, 100.0 * hits / total)

@@ -1,20 +1,20 @@
 """Persistent parse service: warm caches, incremental re-parsing.
 
 Every batch entry point (``superc-parse``, ``superc-batch``) is a
-cold process: it re-pays grammar-table loading, include-closure reads,
-and macro-table construction per invocation.  This subsystem is the
+cold process: it re-pays grammar-table loading, header reads, and
+macro-table construction per invocation.  This subsystem is the
 long-lived alternative — a daemon that parses over warm state with
 sub-second repeat latency, built for interactive variability tooling:
 
 * :class:`ServerState` (``state.py``) — warm LALR tables in one
   reusable session, a content-fingerprinted file store, and per-unit
-  parse entries keyed ``(source digest, include-closure digest,
-  config digest)``, layered over the batch engine's on-disk
-  :class:`repro.engine.ResultCache` so daemon and batch runs share one
-  result cache;
-* :mod:`repro.serve.incremental` — reverse include-graph invalidation
-  (edit a header, drop exactly its dependents) and token-level
-  fingerprints that short-circuit re-parses after layout-only edits;
+  parse entries keyed by unit and source digest under a config
+  fingerprint, each holding the read-set its parse recorded, layered
+  over the batch engine's on-disk :class:`repro.engine.ResultCache`
+  so daemon and batch runs share one result cache.  Invalidation
+  demotes exactly the entries whose read-set holds the edited path;
+* :mod:`repro.serve.incremental` — token-level fingerprints that
+  short-circuit re-parses after layout-only edits;
 * :class:`AdmissionQueue` (``admission.py``) — bounded queueing with
   ``status=shed`` load shedding, per-request deadlines (SIGALRM
   :func:`~repro.serve.admission.attempt_deadline` without a pool),
@@ -56,7 +56,7 @@ Typical use::
     with connect("unix:/tmp/superc.sock") as session:
         result = session.parse("drivers/mousedev.c")  # miss: parses
         result = session.parse("drivers/mousedev.c")  # hit: warm
-        session.invalidate("include/major.h")         # drops dependents
+        session.invalidate("include/major.h")         # drops its readers
         session.shutdown()                            # graceful drain
 """
 
@@ -66,9 +66,7 @@ from repro.serve.client import (HttpTransport, RemoteSession,
                                 SocketTransport, Transport, connect,
                                 make_transport, parse_endpoint)
 from repro.serve.http import HttpFrontend
-from repro.serve.incremental import (InvalidationIndex,
-                                     file_token_digest,
-                                     token_fingerprint)
+from repro.serve.incremental import file_token_digest, token_fingerprint
 from repro.serve.journal import ParseJournal
 from repro.serve.pool import PoolConfig, Worker, WorkerPool
 from repro.serve.protocol import (OPS, PROTOCOL_VERSION, STATUS_SHED,
@@ -83,7 +81,7 @@ from repro.serve.state import (TIER_DISK, TIER_MEMORY, TIER_TOKEN,
 
 __all__ = [
     "AdmissionQueue", "Deadline", "FileStore", "HttpFrontend",
-    "HttpTransport", "InvalidateRequest", "InvalidationIndex", "OPS",
+    "HttpTransport", "InvalidateRequest", "OPS",
     "PROTOCOL_VERSION", "ParseEntry", "ParseJournal", "ParseRequest",
     "ParseServer", "ParseService", "PingRequest", "PoolConfig",
     "ProtocolError", "QueueClosed", "Request", "RemoteSession",

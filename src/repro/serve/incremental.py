@@ -1,22 +1,19 @@
-"""Incremental re-parse support: invalidation and token fingerprints.
+"""Incremental re-parse support: layout-insensitive token fingerprints.
 
-Two mechanisms keep re-parse latency after an edit proportional to
-what actually changed:
+Invalidation needs no graph of its own: every warm entry holds the
+read-set its parse recorded (:class:`repro.serve.state.ParseEntry`),
+so ``invalidate(header)`` demotes exactly the entries whose read-set
+holds the header — computed includes and missing probes included —
+by a scan of the entries.  What this module adds keeps re-parse
+latency after an edit proportional to what actually changed:
 
-* **Reverse include invalidation** — :class:`InvalidationIndex` keeps
-  the resolver-accurate include graph of every file the server has
-  read (``repro.analysis.includes_graph.build_resolved_include_graph``)
-  and answers "which units does editing ``path`` affect?" as the
-  reverse transitive closure.  ``invalidate(header)`` then drops
-  exactly the dependent units' warm entries — the paper's Table 2
-  observation that single headers reach thousands of units is exactly
-  why the walk must be precise rather than "drop everything".
 * **Token-level fingerprints** — :func:`token_fingerprint` hashes the
-  lexed token stream (kind + text) of a unit and its include closure,
+  lexed token stream (kind + text) of a unit and its read-set,
   ignoring layout: whitespace and comments live in token ``layout``
   and newline tokens are skipped.  After an edit the content digest
   changes, but if the token fingerprint is unchanged (comment or
   formatting edit — the common case while typing documentation), the
+  preprocessor would read the same files to the same tokens, so the
   previous parse is provably still valid and the server re-serves it
   without re-parsing.  Line numbers inside cached diagnostics may then
   be stale; that is the usual incremental-parsing trade, and a
@@ -26,10 +23,8 @@ what actually changed:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional
 
-from repro.analysis.includes_graph import (build_resolved_include_graph,
-                                           dependent_files)
 from repro.lexer import lex
 from repro.lexer.tokens import TokenKind
 
@@ -56,17 +51,17 @@ def file_token_digest(text: str, filename: str = "<input>") \
 
 
 def token_fingerprint(read, unit: str,
-                      closure_files: Iterable[str]) -> Optional[str]:
-    """Combined token digest of ``unit``'s whole include closure.
+                      paths: Iterable[str]) -> Optional[str]:
+    """Combined token digest of ``unit`` and ``paths`` (its read-set).
 
     ``read`` is a ``path -> Optional[str]`` callable (a FileSystem
-    ``read`` method).  Closure membership itself is part of the
-    fingerprint — an edit that adds or removes an ``#include`` changes
-    the member list even if every surviving file's tokens are
-    unchanged.  Returns None whenever any member fails to lex.
+    ``read`` method).  Membership itself is part of the fingerprint,
+    and a member that is missing (a failed probe) counts as such, so
+    creating it changes the fingerprint.  Returns None whenever any
+    member fails to lex.
     """
     combined = hashlib.sha256()
-    for path in sorted(set(closure_files) | {unit}):
+    for path in sorted(set(paths) | {unit}):
         text = read(path)
         if text is None:
             combined.update(f"<missing:{path}>".encode())
@@ -77,42 +72,3 @@ def token_fingerprint(read, unit: str,
         combined.update(path.encode())
         combined.update(file_digest.encode())
     return combined.hexdigest()
-
-
-class InvalidationIndex:
-    """Reverse include-dependency index over the server's file view.
-
-    Rebuilt lazily from the file store's known contents: mutating
-    operations (a new unit parsed, a file invalidated or overlaid)
-    call :meth:`mark_dirty`, and the next :meth:`dependents` query
-    rebuilds the resolver-accurate graph once.  With a few thousand
-    known files the rebuild is milliseconds — far cheaper than the
-    re-parses it saves — and keeps the index trivially consistent.
-    """
-
-    def __init__(self, include_paths: Sequence[str] = ()):
-        self.include_paths = list(include_paths)
-        self._graph = None
-        self._dirty = True
-
-    def mark_dirty(self) -> None:
-        self._dirty = True
-
-    def refresh(self, files: Dict[str, str]) -> None:
-        self._graph = build_resolved_include_graph(files,
-                                                   self.include_paths)
-        self._dirty = False
-
-    def dependents(self, files: Dict[str, str], path: str) -> Set[str]:
-        """All known files whose parse could change when ``path``
-        changes (``path`` included when known)."""
-        if self._dirty or self._graph is None:
-            self.refresh(files)
-        return dependent_files(self._graph, path)
-
-    def affected_units(self, files: Dict[str, str], path: str,
-                       units: Iterable[str]) -> Set[str]:
-        """The subset of ``units`` whose include closure reaches
-        ``path``."""
-        dependents = self.dependents(files, path)
-        return {unit for unit in units if unit in dependents}

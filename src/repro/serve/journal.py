@@ -3,13 +3,14 @@
 The daemon's parse *records* already survive restarts in the on-disk
 :class:`repro.engine.ResultCache`; what used to die with the process
 was the metadata that makes the warm tiers work — which key each unit
-was last published under, its include-closure membership (the
-invalidation index's unit list), and its layout-insensitive token
-fingerprint (the tier-3 short-circuit).  :class:`ParseJournal`
-persists exactly that :class:`~repro.serve.state.ParseEntry` metadata
-as JSON lines beside the result cache, so a restarted daemon resumes
-memory/disk/token-tier short-circuiting immediately instead of
-re-parsing its whole working set cold.
+was last published under, its read-set with digests (what
+``invalidate`` scans and the token tier fingerprints), and its
+layout-insensitive token fingerprint (the tier-3 short-circuit).
+:class:`ParseJournal` persists exactly that
+:class:`~repro.serve.state.ParseEntry` metadata as JSON lines beside
+the result cache, so a restarted daemon resumes memory/disk/token-tier
+short-circuiting immediately instead of re-parsing its whole working
+set cold.
 
 Design points:
 
@@ -21,8 +22,10 @@ Design points:
 * **Per-record validation.**  A torn final line (the process died
   mid-append) or a corrupted record is discarded *individually* —
   counted by ``serve.journal.discard`` — and every other line still
-  resumes.  A journal must never take down the daemon it exists to
-  protect.
+  resumes.  So is a line in an older format (a ``closure`` path list
+  without digests): it cannot say whether its files changed, so it
+  is never resumed.  A journal must never take down the daemon it
+  exists to protect.
 * **Best-effort writes.**  Append and compaction failures (``ENOSPC``,
   permissions) are swallowed: the daemon keeps serving from memory and
   simply resumes colder next time.
@@ -33,9 +36,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, Iterable, Optional
+from typing import Dict, Mapping, Optional
 
 from repro import chaos
+from repro.engine.cache import is_read_set
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -61,16 +65,15 @@ class ParseJournal:
             return None
         unit = meta.get("unit")
         key = meta.get("key")
-        closure = meta.get("closure")
+        reads = meta.get("reads")
         token_fp = meta.get("token_fp")
         if not isinstance(unit, str) or not isinstance(key, str):
             return None
-        if not isinstance(closure, list) \
-                or not all(isinstance(path, str) for path in closure):
+        if not is_read_set(reads):
             return None
         if token_fp is not None and not isinstance(token_fp, str):
             return None
-        return {"unit": unit, "key": key, "closure": closure,
+        return {"unit": unit, "key": key, "reads": reads,
                 "token_fp": token_fp}
 
     def load(self) -> Dict[str, dict]:
@@ -104,11 +107,12 @@ class ParseJournal:
 
     # -- write ---------------------------------------------------------
 
-    def append(self, unit: str, key: str, closure: Iterable[str],
+    def append(self, unit: str, key: str,
+               reads: Mapping[str, Optional[str]],
                token_fp: Optional[str]) -> None:
         """Record one publish (best effort; never raises)."""
         meta = {"unit": unit, "key": key,
-                "closure": sorted(closure), "token_fp": token_fp}
+                "reads": dict(reads), "token_fp": token_fp}
         with self._lock:
             self._entries[unit] = meta
             self._appends += 1

@@ -55,7 +55,7 @@ import signal
 import struct
 import threading
 import time
-from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import chaos
 from repro.engine.results import (STATUS_CRASHED, STATUS_ERROR,
@@ -206,7 +206,9 @@ def _child_main(state: Any, rfd: int, wfd: int) -> None:
     Runs with the parent's warm state inherited copy-on-write, which
     provides ``reset_after_fork()`` (fresh locks, no cache/journal
     writers: publishing is the parent's job), ``files.put`` for
-    overlays and ``_parse_inline(unit, text)`` for the record."""
+    overlays and ``_parse_inline(unit, text)`` for the record.  The
+    record goes back with two frame fields the parent pops:
+    ``rss_kb``, and the parse's read-set under ``reads``."""
     _child_close_fds((rfd, wfd))
     # Keep this worker's collections off (and so from copying) every
     # page of the inherited warm state.
@@ -247,8 +249,8 @@ def _child_main(state: Any, rfd: int, wfd: int) -> None:
 class WorkerPool:
     """Pre-forked parse workers under one supervisor.
 
-    :meth:`run_once` (one attempt) and ``execute(unit, text,
-    closure_files, deadline)`` are thread-safe.  ``execute`` always
+    :meth:`run_once` (one attempt) and ``execute(unit, text, files,
+    deadline)`` are thread-safe.  ``execute`` always
     returns a record: a parse result, a ``timeout`` record (worker
     killed at the deadline), a ``crashed`` record (died twice on the
     same request), or an inline-parse result when the pool is degraded
@@ -519,10 +521,13 @@ class WorkerPool:
                 return
         self._shutdown_worker(worker)
 
-    def run_once(self, unit: str, text: str, files: Dict[str, str],
+    def run_once(self, unit: str, text: str,
+                 files: Dict[str, Optional[str]],
                  deadline: Optional[Deadline] = None) \
             -> Tuple[str, dict]:
         """One request on one worker; never parses in this process.
+        ``files`` overlays the worker's file view first (path -> text;
+        None: missing).
 
         Returns ``(outcome, record)``: ``ok``, ``timeout`` (worker
         killed at the deadline), ``crash`` (worker died, replaced) or
@@ -555,17 +560,12 @@ class WorkerPool:
         return outcome, record
 
     def execute(self, unit: str, text: str,
-                closure_files: FrozenSet[str],
+                files: Dict[str, Optional[str]],
                 deadline: Optional[Deadline] = None) -> dict:
         """Run one parse out of process; always returns a record.
 
         Over :meth:`run_once`: a crash is retried once, a timeout is
         final (its budget is spent), a degraded pool parses inline."""
-        files: Dict[str, str] = {}
-        for path in closure_files:
-            overlay = self.state.files.read(path)
-            if overlay is not None:
-                files[path] = overlay
         last_crash = "worker died"
         for attempt in (1, 2):
             outcome, record = self.run_once(unit, text, files, deadline)

@@ -208,8 +208,9 @@ class ParseRequest(Request):
 
 
 class InvalidateRequest(Request):
-    """Drop the warm entries of every unit whose closure reaches
-    ``path``; ``text`` installs new content (in-memory overlay edit)."""
+    """Drop the warm entries of every unit whose recorded read-set
+    holds ``path``; ``text`` installs new content (in-memory overlay
+    edit)."""
 
     op = "invalidate"
     __slots__ = ("path", "text")
@@ -346,9 +347,10 @@ class WorkerRequest:
 
 
 class WorkerParse(WorkerRequest):
-    """One out-of-process parse: the unit, its text, and the overlay
-    contents of its include closure (the child has no file store of
-    its own to consult).
+    """One out-of-process parse: the unit, its text, and the parent
+    file store's current text of every path edited since it started
+    (None: missing), so the child's inherited store sees what the
+    parent sees — for any file the parse may read.
 
     ``chaos``/``chaos_seconds`` carry a fault-injection tag across the
     pipe — the supervisor arms it, the child acts it out.
@@ -358,7 +360,7 @@ class WorkerParse(WorkerRequest):
     __slots__ = ("unit", "text", "files", "chaos", "chaos_seconds")
 
     def __init__(self, unit: str, text: str,
-                 files: Optional[Dict[str, str]] = None,
+                 files: Optional[Dict[str, Optional[str]]] = None,
                  chaos: Optional[str] = None,
                  chaos_seconds: float = 0.0):
         self.unit = unit

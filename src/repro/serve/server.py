@@ -156,17 +156,18 @@ class ParseService:
                 return protocol.error_reply(
                     request.id, request.op,
                     f"cannot read {request.path}")
-        elif request.path is not None:
-            # An explicit buffer for a known path is an overlay edit.
-            state.files.put(request.path, text)
-            state.index.mark_dirty()
+        elif request.path is not None \
+                and text != state.files.read(request.path):
+            # An explicit buffer for a known path is an overlay edit,
+            # for every unit that reads the path too.
+            state.invalidate(request.path, text)
         unit = request.unit
         with self.tracer.span("serve.request", op="parse", unit=unit):
-            key, _closure_digest, members = state.unit_key(unit, text)
+            key = state.unit_key(unit, text)
             record: Optional[dict] = None
             tier: Optional[str] = None
             if not request.fresh:
-                record, tier = state.lookup(unit, key, members)
+                record, tier = state.lookup(unit, key)
             if record is not None:
                 self.hits += 1
                 if self.tracer.enabled:
@@ -177,7 +178,7 @@ class ParseService:
                 self.misses += 1
                 if self.tracer.enabled:
                     self.tracer.count("serve.cache.miss")
-                record = dict(state.parse(unit, text, key, members,
+                record = dict(state.parse(unit, text, key,
                                           deadline=deadline))
                 record["cache"] = "miss"
                 tier = None

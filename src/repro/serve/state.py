@@ -8,42 +8,48 @@ here once, for the life of the daemon:
   request skips grammar-table construction entirely.
 * **Content-fingerprinted file store** — :class:`FileStore` overlays
   any base :class:`repro.cpp.FileSystem` with a text + SHA-256 cache,
-  so include closures of back-to-back requests re-read nothing from
-  disk.  ``invalidate``/``put`` are the edit entry points.
+  so parses and read-set checks of back-to-back requests re-read and
+  re-hash nothing.  ``invalidate``/``put`` are the edit entry points;
+  the store remembers every path they touched, and each pooled parse
+  ships that overlay (:meth:`FileStore.edits`) to its worker.
 * **Parse entries** — per-unit records keyed exactly like the batch
-  engine's result cache: ``(source digest, include-closure digest,
-  config digest)``.  The in-memory map answers repeat requests in
-  microseconds; a :class:`repro.engine.ResultCache` underneath it
-  persists every fresh parse, so a daemon warms subsequent
-  ``superc-batch`` runs and vice versa — one result cache, two front
-  ends.
+  engine's result cache, by unit and source digest, each holding the
+  read-set its parse recorded (``SuperCResult.reads``: every file the
+  preprocessor read, computed includes too, plus missing probes).
+  ``invalidate(path)`` demotes exactly the entries whose read-set
+  holds ``path``, so the in-memory map answers repeat requests without
+  touching a file.  A :class:`repro.engine.ResultCache` underneath
+  persists every fresh parse with its read-set, so a daemon warms
+  subsequent ``superc-batch`` runs and vice versa — one result cache,
+  two front ends.
 
 Lookup resolution order for a ``parse`` request:
 
-1. same key in memory — ``cache=hit, tier=memory``;
-2. same key on disk (engine cache) — ``cache=hit, tier=disk``;
-3. different key but identical token fingerprint (layout-only edit) —
-   ``cache=hit, tier=token``: the old record is re-published under the
-   new key without re-parsing;
+1. same key in memory, not demoted since — ``cache=hit, tier=memory``;
+2. same key on disk (engine cache) with every read-set digest still
+   current — ``cache=hit, tier=disk``;
+3. a demoted entry whose token fingerprint over its read-set is
+   unchanged (layout-only edit) — ``cache=hit, tier=token``: the old
+   record is re-published in memory under the new key without
+   re-parsing;
 4. miss — parse with the warm session, publish to memory + disk.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api import Config, Session
-from repro.cpp import FileSystem, RealFileSystem
+from repro.cpp import FileSystem, RealFileSystem, text_digest
 from repro.engine import DEFAULT_OPTIMIZATION
 from repro.engine.cache import (ResultCache, config_fingerprint,
-                                include_closure)
+                                include_closure_digest, result_key)
 from repro.engine.results import record_from_result
 from repro.obs.tracer import NULL_TRACER
 from repro.parser.fmlr import OPTIMIZATION_LEVELS
-from repro.serve.incremental import InvalidationIndex, token_fingerprint
+from repro.serve.incremental import token_fingerprint
 from repro.serve.journal import ParseJournal
 # One status taxonomy for the whole service: which statuses may never
 # be published to the warm tiers is part of the protocol, not of any
@@ -56,6 +62,8 @@ TIER_TOKEN = "token"
 
 JOURNAL_NAME = "serve-journal.jsonl"
 
+Reads = Dict[str, Optional[str]]
+
 
 class FileStore(FileSystem):
     """Content-fingerprinted overlay over a base file system.
@@ -63,14 +71,15 @@ class FileStore(FileSystem):
     Reads are served from the in-memory cache after the first access;
     ``put`` installs an overlay text (an editor buffer, a test edit)
     and ``invalidate`` drops both overlay and cache so the next read
-    hits the base again.  ``known_files`` is the server's whole file
-    view — the input to the resolver-accurate include graph.
+    hits the base again.  Both remember the path: :meth:`edits` is
+    this store's view of everything edited since it was made.
     """
 
     def __init__(self, base: Optional[FileSystem] = None):
         self.base = base if base is not None else RealFileSystem()
         self._text: Dict[str, Optional[str]] = {}
         self._digest: Dict[str, str] = {}
+        self._edited: Set[str] = set()
         self._lock = threading.Lock()
 
     def read(self, path: str) -> Optional[str]:
@@ -81,8 +90,7 @@ class FileStore(FileSystem):
         with self._lock:
             self._text[path] = text
             if text is not None:
-                self._digest[path] = \
-                    hashlib.sha256(text.encode()).hexdigest()
+                self._digest[path] = text_digest(text)
         return text
 
     def exists(self, path: str) -> bool:
@@ -94,12 +102,15 @@ class FileStore(FileSystem):
         with self._lock:
             return self._digest.get(path)
 
-    def put(self, path: str, text: str) -> None:
-        """Overlay ``path`` with new content (in-memory edit)."""
+    def put(self, path: str, text: Optional[str]) -> None:
+        """Overlay ``path`` with new content (in-memory edit); None
+        overlays it as missing."""
         with self._lock:
             self._text[path] = text
-            self._digest[path] = \
-                hashlib.sha256(text.encode()).hexdigest()
+            self._digest.pop(path, None)
+            if text is not None:
+                self._digest[path] = text_digest(text)
+            self._edited.add(path)
 
     def invalidate(self, path: str) -> bool:
         """Forget cached content for ``path``; True if it was known."""
@@ -107,7 +118,16 @@ class FileStore(FileSystem):
             known = path in self._text
             self._text.pop(path, None)
             self._digest.pop(path, None)
+            self._edited.add(path)
             return known
+
+    def edits(self) -> Dict[str, Optional[str]]:
+        """Current text (None: missing) of every path put or
+        invalidated so far — what a worker forked from this store
+        must overlay to share its view."""
+        with self._lock:
+            paths = sorted(self._edited)
+        return {path: self.read(path) for path in paths}
 
     def known_files(self) -> Dict[str, str]:
         """Every path with known (readable) content."""
@@ -117,22 +137,22 @@ class FileStore(FileSystem):
 
 
 class ParseEntry:
-    """One unit's warm result plus the evidence that keys it.
+    """One unit's warm result plus the read-set that keys it.
 
     ``record`` may be ``None`` for an entry resumed from the on-disk
-    journal: the metadata (key, closure, token fingerprint) came back,
-    and the record itself is fetched lazily from the result cache the
-    first time a tier needs it.
+    journal: the metadata (key, read-set, token fingerprint) came
+    back, and the record itself is fetched lazily from the result
+    cache the first time a tier needs it.  A demoted entry has key
+    ``""``: it only serves the token tier.
     """
 
-    __slots__ = ("key", "record", "closure_files", "token_fp")
+    __slots__ = ("key", "record", "reads", "token_fp")
 
-    def __init__(self, key: str, record: Optional[dict],
-                 closure_files: FrozenSet[str],
+    def __init__(self, key: str, record: Optional[dict], reads: Reads,
                  token_fp: Optional[str]):
         self.key = key
         self.record = record
-        self.closure_files = closure_files
+        self.reads = reads
         self.token_fp = token_fp
 
 
@@ -169,13 +189,12 @@ class ServerState:
         self.result_cache = (ResultCache(cache_dir, self.fingerprint,
                                          tracer=self.tracer)
                              if use_result_cache else None)
-        self.index = InvalidationIndex(list(config.include_paths))
         self.entries: Dict[str, ParseEntry] = {}
         self._lock = threading.Lock()
         self.parses = 0
         self.token_short_circuits = 0
         # Installed by ParseServer when a worker pool is active: a
-        # callable (unit, text, closure_files, deadline) -> record that
+        # callable (unit, text, overlay files, deadline) -> record that
         # runs the parse out of process.  None -> parse inline.
         self.executor: Optional[Callable[..., dict]] = None
         # Warm-state journal: lives inside the result cache's
@@ -193,21 +212,18 @@ class ServerState:
         """Rebuild warm-entry metadata from a previous daemon's life.
 
         Records stay on disk (the result cache); what comes back here
-        is the per-unit key, closure membership, and token fingerprint
-        — enough for the disk and token tiers to short-circuit the
-        first request after a restart instead of re-parsing cold."""
+        is the per-unit key, read-set, and token fingerprint — enough
+        for invalidation and for the disk and token tiers to
+        short-circuit the first request after a restart instead of
+        re-parsing cold."""
         entries = self.journal.load()
-        if not entries:
-            return
         with self._lock:
             for unit, meta in entries.items():
                 self.entries[unit] = ParseEntry(
-                    meta["key"], None, frozenset(meta["closure"]),
-                    meta["token_fp"])
+                    meta["key"], None, meta["reads"], meta["token_fp"])
                 self.journal_resumed += 1
                 if self.tracer.enabled:
                     self.tracer.count("serve.journal.resume")
-        self.index.mark_dirty()
 
     def reset_after_fork(self) -> None:
         """Make inherited state safe inside a freshly forked worker.
@@ -224,24 +240,14 @@ class ServerState:
 
     # -- lookup / store ------------------------------------------------
 
-    def unit_key(self, unit: str, text: str) \
-            -> Tuple[str, str, FrozenSet[str]]:
-        """(cache key, closure digest, closure members) for a unit."""
-        closure_digest, members = include_closure(
-            self.files, unit, self.config.include_paths)
-        cache = self.result_cache
-        if cache is not None:
-            key = cache.key_for(unit, text, closure_digest)
-        else:
-            digest = hashlib.sha256()
-            digest.update(unit.encode())
-            digest.update(hashlib.sha256(text.encode()).digest())
-            digest.update(closure_digest.encode())
-            key = digest.hexdigest()[:32]
-        return key, closure_digest, members
+    def unit_key(self, unit: str, text: str) -> str:
+        """The cache key of ``unit`` with source ``text``."""
+        return result_key(unit, text)
+
+    def _current(self, reads: Reads) -> bool:
+        return include_closure_digest(self.files, reads)
 
     def lookup(self, unit: str, key: str,
-               closure_files: FrozenSet[str],
                allow_token_hit: bool = True) \
             -> Tuple[Optional[dict], Optional[str]]:
         """(record, tier) for a warm answer, or (None, None)."""
@@ -251,126 +257,128 @@ class ServerState:
                 and entry.record is not None:
             return entry.record, TIER_MEMORY
         if self.result_cache is not None:
-            record = self.result_cache.get(key)
-            if record is not None:
-                self._remember(unit, key, record, closure_files)
-                return record, TIER_DISK
+            blob = self.result_cache.get(key, self._current)
+            if blob is not None:
+                self._remember(unit, key, blob["record"], blob["reads"])
+                return blob["record"], TIER_DISK
         if allow_token_hit and entry is not None \
                 and entry.token_fp is not None:
-            # The content digest moved but maybe only layout changed:
-            # compare layout-insensitive token fingerprints over the
-            # (new) closure before paying for a re-parse.
+            # The content moved but maybe only layout changed: compare
+            # layout-insensitive token fingerprints over the entry's
+            # read-set before paying for a re-parse.  Token-identical
+            # files make the preprocessor read the same set again.
             fresh_fp = token_fingerprint(self.files.read, unit,
-                                         closure_files)
+                                         entry.reads)
             if fresh_fp is not None and fresh_fp == entry.token_fp:
                 record = entry.record
                 if record is None and entry.key \
                         and self.result_cache is not None:
-                    # Journal-resumed entry: the metadata matched, the
-                    # record itself still lives under the old key on
-                    # disk.
-                    record = self.result_cache.get(entry.key)
+                    # Journal-resumed entry: the record lives on disk
+                    # under its key, unless a later parse replaced it.
+                    blob = self.result_cache.get(entry.key)
+                    if blob is not None and blob["reads"] == entry.reads:
+                        record = blob["record"]
                 if record is not None:
                     self.token_short_circuits += 1
-                    # Re-publish under the new key so the *next*
-                    # request (and any batch run) hits tiers 1-2
-                    # directly.
-                    self._remember(unit, key, record, closure_files,
-                                   token_fp=fresh_fp)
-                    if self.result_cache is not None:
-                        self.result_cache.put(key, record)
+                    # Re-publish under the new key with the read-set's
+                    # current digests, so the next request hits tier 1.
+                    # The disk keeps the blob of the last real parse,
+                    # unless no digest moved (that blob was lost).
+                    reads = {path: self.files.digest(path)
+                             for path in entry.reads}
+                    if self._remember(unit, key, record, reads,
+                                      token_fp=fresh_fp) \
+                            and reads == entry.reads \
+                            and self.result_cache is not None:
+                        self.result_cache.put(key, reads, record)
                     return record, TIER_TOKEN
         return None, None
 
     def parse(self, unit: str, text: str, key: str,
-              closure_files: FrozenSet[str],
               deadline: object = None) -> dict:
         """Fresh parse; publishes the record unless it is a failure.
 
         With an ``executor`` installed (worker pool), the parse runs in
-        a supervised child process and the supervisor enforces
-        ``deadline``; otherwise it runs inline on the warm session.
-        Failure records (error / timeout / crashed) are returned but
-        never published to the warm tiers or the journal — they
-        describe one attempt, not the unit."""
+        a supervised child process, handed the store's edits, and the
+        supervisor enforces ``deadline``; otherwise it runs inline on
+        the warm session.  Failure records (error / timeout / crashed)
+        are returned but never published to the warm tiers or the
+        journal — they describe one attempt, not the unit."""
         if self.executor is not None:
-            record = self.executor(unit, text, closure_files, deadline)
+            record = self.executor(unit, text, self.files.edits(),
+                                   deadline)
         else:
             record = self._parse_inline(unit, text)
+        reads = record.pop("reads", None)
         self.parses += 1
-        if record.get("status") in UNCACHEABLE_STATUSES:
+        if reads is None or record.get("status") in UNCACHEABLE_STATUSES:
             return record
-        fp = token_fingerprint(self.files.read, unit, closure_files)
-        self._remember(unit, key, record, closure_files, token_fp=fp)
-        if self.result_cache is not None:
-            self.result_cache.put(key, record)
+        fp = token_fingerprint(self.files.read, unit, reads)
+        if self._remember(unit, key, record, reads, token_fp=fp) \
+                and self.result_cache is not None:
+            self.result_cache.put(key, reads, record)
         return record
 
     def _parse_inline(self, unit: str, text: str) -> dict:
-        """One parse on the warm in-process session."""
+        """One parse on the warm in-process session.  The record
+        carries the parse's read-set under ``"reads"``, which
+        :meth:`parse` pops (a pool worker sends it the same way)."""
         result = self.session.parse(text, unit)
-        return record_from_result(unit, result,
-                                  seconds=result.timing.total)
+        record = record_from_result(unit, result,
+                                    seconds=result.timing.total)
+        record["reads"] = result.reads
+        return record
 
     def _remember(self, unit: str, key: str, record: Optional[dict],
-                  closure_files: FrozenSet[str],
-                  token_fp: Optional[str] = None) -> None:
+                  reads: Reads, token_fp: Optional[str] = None) -> bool:
+        """Publish one warm entry; False (nothing stored) when a file
+        of ``reads`` changed since it was read — an edit raced the
+        parse, and :meth:`invalidate` may already have passed."""
         with self._lock:
+            if not self._current(reads):
+                return False
             previous = self.entries.get(unit)
             if token_fp is None and previous is not None \
                     and previous.key == key:
                 token_fp = previous.token_fp
-            self.entries[unit] = ParseEntry(key, record, closure_files,
-                                            token_fp)
-        self.index.mark_dirty()
+            self.entries[unit] = ParseEntry(key, record, reads, token_fp)
         if self.journal is not None:
-            self.journal.append(unit, key, closure_files, token_fp)
+            self.journal.append(unit, key, reads, token_fp)
+        return True
 
     # -- invalidation --------------------------------------------------
 
     def invalidate(self, path: str,
                    text: Optional[str] = None) -> List[str]:
-        """Apply an edit to ``path`` and drop exactly the affected
-        units' warm entries; returns the dropped unit list (sorted).
+        """Apply an edit to ``path`` and demote exactly the warm
+        entries whose read-set holds it (or whose unit it is); returns
+        those units, sorted.
 
         ``text`` installs new content (in-memory edit); without it the
         store just forgets the path so the next read re-hits the base
-        file system (on-disk edit).  Entries keep their token
-        fingerprint *indirectly*: dropping the entry would defeat the
-        layout-only short-circuit, so affected entries are kept but
-        demoted — their key is cleared, forcing the next request
-        through digest recomputation (and thus the token-fingerprint
-        comparison) instead of the memory tier.
+        file system (on-disk edit, or a file created where a probe
+        found nothing).  Demoted entries keep record, read-set and
+        token fingerprint for the tier-3 check, but their key is
+        cleared, so no request is answered from memory again.
         """
-        known = self.files.known_files()
-        affected = self.index.affected_units(known, path,
-                                             list(self.entries))
         if text is not None:
             self.files.put(path, text)
         else:
             self.files.invalidate(path)
-        self.index.mark_dirty()
-        dropped = []
         demoted = []
         with self._lock:
-            for unit in affected:
-                entry = self.entries.get(unit)
-                if entry is None:
-                    continue
-                # Demote: keep record + token fingerprint for the
-                # tier-3 check, but no key ever matches again.
-                self.entries[unit] = ParseEntry(
-                    "", entry.record, entry.closure_files,
-                    entry.token_fp)
-                demoted.append((unit, entry))
-                dropped.append(unit)
+            for unit, entry in self.entries.items():
+                if unit == path or path in entry.reads:
+                    self.entries[unit] = ParseEntry(
+                        "", entry.record, entry.reads, entry.token_fp)
+                    demoted.append((unit, entry))
         if self.journal is not None:
             # Journal the demotion too: a daemon restarted after an
             # edit must not resume the stale pre-edit key.
             for unit, entry in demoted:
-                self.journal.append(unit, "", entry.closure_files,
+                self.journal.append(unit, "", entry.reads,
                                     entry.token_fp)
-        return sorted(dropped)
+        return sorted(unit for unit, _entry in demoted)
 
     # -- introspection -------------------------------------------------
 

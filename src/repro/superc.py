@@ -14,6 +14,7 @@ Typical use::
     result.unit.stats         # Table 3 preprocessor statistics
     result.parse.stats        # Figure 8 subparser statistics
     result.timing             # Figure 10 latency breakdown
+    result.reads              # path -> digest (None: probed, missing)
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.bdd import BDDManager
 from repro.cgrammar import (SymbolStats, c_tables, classify,
                             make_context_factory)
-from repro.cpp import CompilationUnit, FileSystem, Preprocessor
+from repro.cpp import (CompilationUnit, DictFileSystem, FileSystem,
+                       Preprocessor, ReadRecorder)
 from repro.cpp.tree import token_count
 from repro.errors import (Diagnostic, PHASE_RESOURCE, ResourceBudget,
                           SEVERITY_CONFIG, SEVERITY_WARNING)
@@ -76,6 +78,10 @@ class SuperCResult:
         # Per-unit observability snapshot (repro.obs.Profile) when the
         # parse ran under an enabled tracer; None otherwise.
         self.profile = profile
+        # Every path the preprocessor read (-> content digest) or
+        # probed and found missing (-> None); the unit's own text is
+        # not among them.  Set by SuperC.parse_source.
+        self.reads: Dict[str, Optional[str]] = {}
 
     @property
     def ok(self) -> bool:
@@ -183,11 +189,14 @@ class SuperC:
 
     def parse_source(self, text: str,
                      filename: str = "<input>") -> SuperCResult:
-        """Preprocess and parse source text."""
+        """Preprocess and parse source text; ``result.reads`` is the
+        read-set of the preprocessor run."""
         tracer = self.tracer
         mark = tracer.mark() if tracer.enabled else None
+        recorder = ReadRecorder(self.fs if self.fs is not None
+                                else DictFileSystem({}))
         with tracer.span("unit", file=filename):
-            preprocessor = self._preprocessor()
+            preprocessor = self._preprocessor(recorder)
             with tracer.span("preprocess", file=filename):
                 pp_start = time.perf_counter()
                 unit = preprocessor.preprocess(text, filename)
@@ -199,6 +208,7 @@ class SuperC:
         # window captures the whole span tree.
         result.profile = self._profile(unit, result.parse.stats,
                                        result.timing, mark)
+        result.reads = recorder.reads
         return result
 
     def parse_file(self, path: str) -> SuperCResult:
@@ -221,8 +231,10 @@ class SuperC:
 
     # -- internals ---------------------------------------------------------------
 
-    def _preprocessor(self) -> Preprocessor:
-        return Preprocessor(self.fs, include_paths=self.include_paths,
+    def _preprocessor(self, fs: Optional[FileSystem] = None) \
+            -> Preprocessor:
+        return Preprocessor(fs if fs is not None else self.fs,
+                            include_paths=self.include_paths,
                             builtins=self.builtins,
                             extra_definitions=self.extra_definitions,
                             budget=self.budget,
@@ -289,7 +301,6 @@ def parse_c(text: str, files: Optional[Dict[str, str]] = None,
             builtins: Optional[Dict[str, str]] = None,
             options: Optional[FMLROptions] = None) -> SuperCResult:
     """One-call convenience: parse C source with conditionals."""
-    from repro.cpp import DictFileSystem
     superc = SuperC(DictFileSystem(files or {}),
                     include_paths=include_paths, builtins=builtins,
                     options=options)

@@ -398,11 +398,10 @@ def run_smoke(args) -> int:
                    "serve.cache.hit counter advanced")
 
             if header:
-                # Overlay edit: changed header content, so dependent
-                # units' closure digests move and a real re-parse is
-                # forced (a plain invalidate of unchanged content
-                # would legitimately re-hit the content-addressed
-                # cache).
+                # Overlay edit: changed header content, so the units
+                # whose read-set holds it are demoted and a real
+                # re-parse is forced (a plain invalidate of unchanged
+                # content would legitimately re-hit the cache).
                 with open(header, "r", encoding="utf-8") as handle:
                     header_text = handle.read()
                 response = session.invalidate(

@@ -36,10 +36,10 @@ def make_state(tmp_path, **kwargs):
 
 def parse_unit(state, unit):
     text = state.files.read(unit)
-    key, _digest, members = state.unit_key(unit, text)
-    record, tier = state.lookup(unit, key, members)
+    key = state.unit_key(unit, text)
+    record, tier = state.lookup(unit, key)
     if record is None:
-        record = state.parse(unit, text, key, members)
+        record = state.parse(unit, text, key)
     return record, tier
 
 
@@ -138,7 +138,7 @@ class TestResultCacheCorruption:
     def test_truncated_blob_is_a_miss_and_deleted(self, tmp_path):
         tracer = Tracer()
         cache = self.make_cache(tmp_path, tracer=tracer)
-        cache.put("k", {"status": "ok"})
+        cache.put("k", {}, {"status": "ok"})
         # Hand-truncate the blob mid-JSON (a crashed writer).
         path = cache._path("k")
         with open(path, "r+b") as handle:
@@ -169,8 +169,8 @@ class TestResultCacheCorruption:
 
     def test_intact_records_still_hit(self, tmp_path):
         cache = self.make_cache(tmp_path)
-        cache.put("k", {"status": "ok"})
-        assert cache.get("k") == {"status": "ok"}
+        cache.put("k", {}, {"status": "ok"})
+        assert cache.get("k")["record"] == {"status": "ok"}
         assert cache.corrupt == 0
 
 
@@ -181,24 +181,24 @@ class TestParseJournal:
     def test_roundtrip_newest_wins(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = ParseJournal(path)
-        journal.append("a.c", "key1", ["a.c", "include/shared.h"], "fp1")
-        journal.append("b.c", "key2", ["b.c"], None)
-        journal.append("a.c", "key3", ["a.c"], "fp3")
+        journal.append("a.c", "key1", {"include/shared.h": "d1"}, "fp1")
+        journal.append("b.c", "key2", {"b.h": None}, None)
+        journal.append("a.c", "key3", {}, "fp3")
         entries = ParseJournal(path).load()
         assert entries["a.c"]["key"] == "key3"
         assert entries["a.c"]["token_fp"] == "fp3"
         assert entries["b.c"]["token_fp"] is None
-        assert entries["b.c"]["closure"] == ["b.c"]
+        assert entries["b.c"]["reads"] == {"b.h": None}
 
     def test_corrupt_lines_discarded_individually(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = ParseJournal(path)
-        journal.append("a.c", "key1", ["a.c"], "fp1")
-        journal.append("b.c", "key2", ["b.c"], "fp2")
+        journal.append("a.c", "key1", {}, "fp1")
+        journal.append("b.c", "key2", {}, "fp2")
         with open(path, "a") as handle:
             handle.write('{"torn": tru')          # torn final append
             handle.write("\n[1, 2, 3]\n")         # wrong shape
-            handle.write('{"unit": 5, "key": "x", "closure": [],'
+            handle.write('{"unit": 5, "key": "x", "reads": {},'
                          ' "token_fp": null}\n')  # wrong types
         tracer = Tracer()
         loaded = ParseJournal(path, tracer=tracer)
@@ -216,7 +216,7 @@ class TestParseJournal:
         path = str(tmp_path / "journal.jsonl")
         journal = ParseJournal(path)
         for round_number in range(200):
-            journal.append("a.c", f"key{round_number}", ["a.c"], "fp")
+            journal.append("a.c", f"key{round_number}", {}, "fp")
         assert journal.compactions >= 1
         with open(path) as handle:
             lines = [line for line in handle if line.strip()]
@@ -229,8 +229,8 @@ class TestParseJournal:
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
             plan.arm("journal.append", "enospc")
-            journal.append("a.c", "key1", ["a.c"], "fp1")  # must not raise
-            journal.append("a.c", "key2", ["a.c"], "fp2")
+            journal.append("a.c", "key1", {}, "fp1")  # must not raise
+            journal.append("a.c", "key2", {}, "fp2")
         entries = ParseJournal(journal.path).load()
         assert entries["a.c"]["key"] == "key2"
 
@@ -260,7 +260,6 @@ class TestJournalResume:
         # has no in-memory record — it must be lazily fetched from the
         # old key's disk blob.
         resumed.files.put("b.c", "int   b /* layout */ = 2;\n")
-        resumed.index.mark_dirty()
         record, tier = parse_unit(resumed, "b.c")
         assert tier == "token"
         assert resumed.parses == 0
@@ -270,6 +269,20 @@ class TestJournalResume:
         state = make_state(tmp_path, use_result_cache=False)
         assert state.journal is None
         parse_unit(state, "b.c")  # must not crash without a journal
+
+    def test_closure_format_lines_are_never_resumed(self, tmp_path):
+        # A line without digests cannot say whether its files changed.
+        state = make_state(tmp_path)
+        os.makedirs(os.path.dirname(state.journal.path))
+        with open(state.journal.path, "w") as handle:
+            handle.write(json.dumps({"unit": "a.c", "key": "k",
+                                     "closure": ["a.c"],
+                                     "token_fp": "fp"}) + "\n")
+        tracer = Tracer()
+        resumed = make_state(tmp_path, tracer=tracer)
+        assert resumed.journal_resumed == 0
+        assert "a.c" not in resumed.entries
+        assert tracer.counters["serve.journal.discard"] == 1
 
     def test_invalidation_demotion_survives_restart(self, tmp_path):
         state = make_state(tmp_path)
@@ -330,8 +343,8 @@ class TestWorkerPool:
             with chaos.injected(plan):
                 plan.arm("pool.request", "worker-hang", seconds=30.0)
                 text = state.files.read("b.c")
-                key, _d, members = state.unit_key("b.c", text)
-                record = state.parse("b.c", text, key, members,
+                key = state.unit_key("b.c", text)
+                record = state.parse("b.c", text, key,
                                      deadline=Deadline(0.5))
             assert record["status"] == "timeout"
             # A failure record must never be published to the caches.
@@ -377,8 +390,8 @@ class TestWorkerPool:
             assert pool.recycles >= 1
             # The replacement still serves.
             text = state.files.read("b.c")
-            key, _digest, members = state.unit_key("b.c", text)
-            record = state.parse("b.c", text, key, members)
+            key = state.unit_key("b.c", text)
+            record = state.parse("b.c", text, key)
             assert record["status"] == "ok"
         finally:
             pool.close()

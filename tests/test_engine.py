@@ -11,8 +11,10 @@ from repro.engine import (BatchEngine, CorpusJob, CorpusReport,
                           EngineConfig, MetricsStream, ResultCache,
                           STATUS_CRASHED, STATUS_DEGRADED,
                           STATUS_ERROR, STATUS_OK, STATUS_TIMEOUT,
-                          format_report, include_closure,
-                          include_closure_digest, percentile)
+                          format_report, include_closure_digest,
+                          percentile)
+from repro.engine.cache import result_key
+from repro.superc import SuperC
 
 # Statuses that count as a usable result: the synthetic corpus's
 # drivers carry guarded #error directives (mutually exclusive config
@@ -144,14 +146,8 @@ class TestSerialRun:
 
 
 class TestParallelRun:
-    def test_matches_serial(self, small_corpus, tmp_path):
-        job = CorpusJob.from_corpus(small_corpus)
-        serial = BatchEngine(make_config(
-            tmp_path / "a", use_result_cache=False)).run(job)
-        parallel = BatchEngine(make_config(
-            tmp_path / "b", workers=2, use_result_cache=False)).run(job)
-        assert serial.statuses() == parallel.statuses()
-        assert serial.subparser_rollup() == parallel.subparser_rollup()
+    # Serial/parallel record parity is one row of the equivalence
+    # matrix (tests/test_equivalence.py).
 
     def test_crash_isolated_to_one_unit(self, small_corpus, tmp_path,
                                         monkeypatch):
@@ -322,6 +318,42 @@ class TestResultCache:
         assert by_unit[bad]["status"] in USABLE
 
 
+class TestCodeIdentity:
+    """The code that made a record is part of its cache directory."""
+
+    def test_source_edit_moves_the_cache_directory(self, tmp_path,
+                                                   monkeypatch):
+        import repro
+        import repro.engine.cache as cache_module
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "fmlr.py").write_text("STEP = 1\n")
+        monkeypatch.setattr(repro, "__file__",
+                            str(package / "__init__.py"))
+
+        def directory():
+            monkeypatch.setattr(cache_module, "_CODE_HASH", None)
+            fingerprint = cache_module.config_fingerprint(
+                ["include"], None, None, "Shared, Lazy, & Early")
+            return ResultCache(str(tmp_path), fingerprint).directory
+
+        before = directory()
+        assert directory() == before
+        (package / "fmlr.py").write_text("STEP = 2\n")
+        assert directory() != before
+
+    def test_old_records_are_not_served(self, small_corpus, tmp_path,
+                                        monkeypatch):
+        import repro.engine.cache as cache_module
+        job = CorpusJob.from_corpus(small_corpus)
+        monkeypatch.setattr(cache_module, "_CODE_HASH", "old-code")
+        BatchEngine(make_config(tmp_path)).run(job)
+        monkeypatch.setattr(cache_module, "_CODE_HASH", "new-code")
+        report = BatchEngine(make_config(tmp_path)).run(job)
+        assert report.cache_hits == 0
+
+
 class TestResultCacheDurability:
     """Result-cache publication must be atomic and litter-free: a
     concurrent reader (a serve daemon sharing the cache with a batch
@@ -332,7 +364,7 @@ class TestResultCacheDurability:
 
     def cache_and_key(self, tmp_path):
         cache = ResultCache(str(tmp_path), "fp")
-        return cache, cache.key_for("a.c", "int a;\n", "digest")
+        return cache, result_key("a.c", "int a;\n")
 
     def test_put_writes_temp_then_replaces(self, tmp_path,
                                            monkeypatch):
@@ -348,10 +380,10 @@ class TestResultCacheDurability:
 
         monkeypatch.setattr("repro.engine.cache.json.dump",
                             spying_dump)
-        cache.put(key, dict(self.RECORD))
+        cache.put(key, {}, dict(self.RECORD))
         assert observed["target"] != final
         assert observed["final_visible"] is False
-        assert cache.get(key) == self.RECORD
+        assert cache.get(key)["record"] == self.RECORD
 
     def test_interrupted_write_leaves_no_artifacts(self, tmp_path,
                                                    monkeypatch):
@@ -364,14 +396,14 @@ class TestResultCacheDurability:
         with monkeypatch.context() as patch:
             patch.setattr("repro.engine.cache.json.dump",
                           exploding_dump)
-            cache.put(key, dict(self.RECORD))  # must not raise
+            cache.put(key, {}, dict(self.RECORD))  # must not raise
         assert cache.get(key) is None
         assert os.listdir(cache.directory) == []
 
     def test_interrupted_write_preserves_previous_entry(
             self, tmp_path, monkeypatch):
         cache, key = self.cache_and_key(tmp_path)
-        cache.put(key, dict(self.RECORD))
+        cache.put(key, {}, dict(self.RECORD))
 
         def exploding_dump(obj, handle, **kwargs):
             handle.write('{"partial": ')
@@ -380,18 +412,18 @@ class TestResultCacheDurability:
         with monkeypatch.context() as patch:
             patch.setattr("repro.engine.cache.json.dump",
                           exploding_dump)
-            cache.put(key, {"unit": "a.c", "status": "error"})
-        assert cache.get(key) == self.RECORD
+            cache.put(key, {}, {"unit": "a.c", "status": "error"})
+        assert cache.get(key)["record"] == self.RECORD
 
     def test_unserializable_record_leaves_no_artifacts(self, tmp_path):
         cache, key = self.cache_and_key(tmp_path)
-        cache.put(key, {"bad": {1, 2, 3}})  # sets are not JSON
+        cache.put(key, {}, {"bad": {1, 2, 3}})  # sets are not JSON
         assert cache.get(key) is None
         assert os.listdir(cache.directory) == []
 
     def test_delete(self, tmp_path):
         cache, key = self.cache_and_key(tmp_path)
-        cache.put(key, dict(self.RECORD))
+        cache.put(key, {}, dict(self.RECORD))
         assert cache.delete(key)
         assert not cache.delete(key)
         assert cache.get(key) is None
@@ -485,13 +517,17 @@ class TestEngineExactInvalidation:
             "a.c": "miss", "b.c": "hit", "c.c": "hit"}
 
     def test_closure_members_match_the_resolver(self):
-        _digest, members = include_closure(
-            DictFileSystem(dict(self.FILES)), "a.c", ["include"])
-        assert members == frozenset(
-            {"a.c", "include/only_a.h", "include/shared.h"})
+        superc = SuperC(DictFileSystem(dict(self.FILES)),
+                        include_paths=["include"])
+        result = superc.parse_source(self.FILES["a.c"], "a.c")
+        assert set(result.reads) == {"include/only_a.h",
+                                     "include/shared.h"}
 
 
 class TestIncludeClosureDigest:
+    """``include_closure_digest`` is the read-set check: True while
+    every file a parse read still has its digest."""
+
     FILES = {
         "a.c": '#include <x.h>\nint a;\n',
         "include/x.h": '#include "y.h"\nint x;\n',
@@ -499,22 +535,38 @@ class TestIncludeClosureDigest:
         "include/z.h": "int z;\n",
     }
 
-    def digest(self, files):
-        return include_closure_digest(DictFileSystem(files), "a.c",
-                                      ["include"])
+    def reads(self):
+        superc = SuperC(DictFileSystem(dict(self.FILES)),
+                        include_paths=["include"])
+        return superc.parse_source(self.FILES["a.c"], "a.c").reads
+
+    def current(self, files):
+        return include_closure_digest(DictFileSystem(files),
+                                      self.reads())
 
     def test_stable(self):
-        assert self.digest(self.FILES) == self.digest(dict(self.FILES))
+        assert self.current(dict(self.FILES))
 
     def test_transitive_header_edit_changes_digest(self):
         edited = dict(self.FILES)
         edited["include/y.h"] = "long y;\n"
-        assert self.digest(edited) != self.digest(self.FILES)
+        assert not self.current(edited)
 
     def test_unrelated_header_ignored(self):
         edited = dict(self.FILES)
         edited["include/z.h"] = "long z;\n"
-        assert self.digest(edited) == self.digest(self.FILES)
+        assert self.current(edited)
+
+    def test_failed_probe_is_recorded_missing(self):
+        # A quoted include probes the includer's directory first.
+        files = dict(self.FILES, **{"a.c": '#include "x.h"\nint a;\n'})
+        superc = SuperC(DictFileSystem(files), include_paths=["include"])
+        reads = superc.parse_source(files["a.c"], "a.c").reads
+        assert "x.h" in reads and reads["x.h"] is None
+        assert reads["include/x.h"] is not None
+        assert include_closure_digest(DictFileSystem(files), reads)
+        files["x.h"] = "int shadow;\n"
+        assert not include_closure_digest(DictFileSystem(files), reads)
 
 
 class TestMetricsStream:

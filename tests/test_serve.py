@@ -13,14 +13,13 @@ from repro.cpp import DictFileSystem
 from repro.engine import BatchEngine, CorpusJob, EngineConfig
 from repro.engine.scheduler import backoff_delay
 from repro.serve import (AdmissionQueue, Deadline, FileStore,
-                         InvalidationIndex, ParseServer, ParseService,
+                         ParseServer, ParseService,
                          PoolConfig, QueueClosed, STATUS_SHED,
                          STATUS_UNAVAILABLE, ServeClient, ServeError,
                          ServerState, TIER_DISK, TIER_MEMORY,
                          TIER_TOKEN, file_token_digest,
                          token_fingerprint)
 from repro.serve.admission import DeadlineExceeded, attempt_deadline
-from repro.serve.incremental import build_resolved_include_graph
 
 # A corpus with a header shared by exactly two of three units, plus a
 # second-level header reached only through only_a.h — the shape the
@@ -46,10 +45,10 @@ def make_state(tmp_path, files=None, **kwargs):
 
 def parse_unit(state, unit):
     text = state.files.read(unit)
-    key, _digest, members = state.unit_key(unit, text)
-    record, tier = state.lookup(unit, key, members)
+    key = state.unit_key(unit, text)
+    record, tier = state.lookup(unit, key)
     if record is None:
-        record = state.parse(unit, text, key, members)
+        record = state.parse(unit, text, key)
     return record, tier
 
 
@@ -112,28 +111,32 @@ class TestTokenFingerprint:
         assert first == second
 
 
-class TestInvalidationIndex:
-    def test_resolved_graph_edges(self):
-        graph = build_resolved_include_graph(FILES, INCLUDE_PATHS)
-        assert graph.has_edge("a.c", "include/only_a.h")
-        assert graph.has_edge("include/only_a.h", "include/shared.h")
-        assert graph.has_edge("b.c", "include/shared.h")
-        assert not list(graph.successors("c.c"))
+class TestReadSetInvalidation:
+    """``invalidate`` scans the read-sets the parses recorded: no
+    include graph to rebuild or keep in step with the files."""
 
-    def test_affected_units_is_exact(self):
-        index = InvalidationIndex(INCLUDE_PATHS)
-        affected = index.affected_units(FILES, "include/shared.h",
-                                        UNITS)
-        assert affected == {"a.c", "b.c"}
-        affected = index.affected_units(FILES, "include/only_a.h",
-                                        UNITS)
-        assert affected == {"a.c"}
-        assert index.affected_units(FILES, "c.c", UNITS) == {"c.c"}
+    def warm(self, tmp_path):
+        state = make_state(tmp_path)
+        for unit in UNITS:
+            parse_unit(state, unit)
+        return state
 
-    def test_unknown_path_affects_nothing(self):
-        index = InvalidationIndex(INCLUDE_PATHS)
-        assert index.affected_units(FILES, "include/none.h",
-                                    UNITS) == set()
+    def test_read_sets_hold_the_resolved_includes(self, tmp_path):
+        state = self.warm(tmp_path)
+        assert set(state.entries["a.c"].reads) == {
+            "include/only_a.h", "include/shared.h"}
+        assert set(state.entries["b.c"].reads) == {"include/shared.h"}
+        assert state.entries["c.c"].reads == {}
+
+    def test_affected_units_is_exact(self, tmp_path):
+        state = self.warm(tmp_path)
+        assert state.invalidate("include/shared.h") == ["a.c", "b.c"]
+        assert state.invalidate("include/only_a.h") == ["a.c"]
+        assert state.invalidate("c.c") == ["c.c"]
+
+    def test_unknown_path_affects_nothing(self, tmp_path):
+        state = self.warm(tmp_path)
+        assert state.invalidate("include/none.h") == []
 
 
 class TestAdmission:
