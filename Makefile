@@ -3,8 +3,8 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke-batch fuzz-smoke robustness-smoke trace-smoke \
-	serve-smoke http-smoke chaos-smoke bench perfbench perfbench-selftest \
-	clean-cache
+	serve-smoke http-smoke chaos-smoke bench figure-gates perfbench \
+	perfbench-selftest clean-cache
 
 # Tier 1: the full unit-test suite (must stay green).
 test:
@@ -86,6 +86,12 @@ chaos-smoke:
 # Full benchmark suite (Tables 2-3, Figures 8-10, scaling + speedup).
 bench:
 	$(PY) -m pytest benchmarks -q
+
+# The paper's figure shapes as regression gates: Figure 8 subparser
+# bounds, Table 3 counts and the Figure 9 knee (~1 min).
+figure-gates:
+	$(PY) -m pytest benchmarks/bench_fig8.py benchmarks/bench_table3.py \
+	    benchmarks/bench_fig9.py -q
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics and correctness checks; see perfbench/README.md.

@@ -14,48 +14,90 @@ Variables are interned by name in a :class:`BDDManager`; variable order
 is the order of first registration.  All nodes created by one manager
 may be freely combined with each other but never with nodes from another
 manager.
+
+**Node table.**  The manager follows the standard package design
+(Brace, Rudell & Bryant, DAC 1990): inside the kernel a node is an int.
+0 is FALSE, 1 is TRUE, and every other id indexes the parallel lists
+``_level``, ``_lo`` and ``_hi``; ``_unique`` maps ``(level, lo, hi)``
+to its id, and ids are allocated in creation order.  AND and OR are
+two recursive closures over these tables, each with its own computed
+table keyed by the ordered id pair, and they resolve terminal children
+and equal operands before recursing.  A :class:`BDDNode` is the
+canonical handle ``(manager, _id)`` of an id that leaves the kernel:
+the manager creates one handle per id, so ``is``, ``hash`` and set
+membership behave as on hash-consed node objects.  The counters are
+derived from the tables: ``nodes_created`` is ``len(_unique)``,
+``apply_calls`` is the cache hits plus the sizes of the computed
+tables, and only ``apply_cache_hits`` is incremented, on a hit.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
+    Tuple
+
+FALSE_ID = 0
+TRUE_ID = 1
 
 
 class BDDNode:
-    """A node in the shared BDD DAG.
+    """A canonical handle on a node of the shared BDD DAG.
 
     Terminal nodes have ``var is None`` and carry ``value`` True/False.
     Internal nodes test ``var`` (an integer index) and branch to ``low``
-    (var=False) and ``high`` (var=True).  Nodes are hash-consed by the
-    manager: structural equality is identity.
+    (var=False) and ``high`` (var=True).  The manager creates one handle
+    per node id: structural equality is identity.
     """
 
-    __slots__ = ("var", "low", "high", "value", "manager", "_id")
+    __slots__ = ("manager", "_id")
 
-    def __init__(self, manager: "BDDManager", var: Optional[int],
-                 low: Optional["BDDNode"], high: Optional["BDDNode"],
-                 value: Optional[bool], node_id: int):
+    def __init__(self, manager: "BDDManager", node_id: int):
         self.manager = manager
-        self.var = var
-        self.low = low
-        self.high = high
-        self.value = value
         self._id = node_id
 
     # -- structure ---------------------------------------------------
 
+    @property
+    def var(self) -> Optional[int]:
+        """The tested variable's index; None for the terminals."""
+        node_id = self._id
+        return self.manager._level[node_id] if node_id > TRUE_ID \
+            else None
+
+    @property
+    def low(self) -> Optional["BDDNode"]:
+        """The var=False child; None for the terminals."""
+        node_id = self._id
+        if node_id <= TRUE_ID:
+            return None
+        return self.manager._node(self.manager._lo[node_id])
+
+    @property
+    def high(self) -> Optional["BDDNode"]:
+        """The var=True child; None for the terminals."""
+        node_id = self._id
+        if node_id <= TRUE_ID:
+            return None
+        return self.manager._node(self.manager._hi[node_id])
+
+    @property
+    def value(self) -> Optional[bool]:
+        """True/False for the terminals; None for internal nodes."""
+        node_id = self._id
+        return node_id == TRUE_ID if node_id <= TRUE_ID else None
+
     def is_terminal(self) -> bool:
         """Return True for the constant nodes TRUE and FALSE."""
-        return self.var is None
+        return self._id <= TRUE_ID
 
     def is_true(self) -> bool:
         """Return True only for the constant TRUE node."""
-        return self.var is None and self.value is True
+        return self._id == TRUE_ID
 
     def is_false(self) -> bool:
         """Return True only for the constant FALSE node."""
-        return self.var is None and self.value is False
+        return self._id == FALSE_ID
 
     # -- boolean algebra ---------------------------------------------
 
@@ -83,11 +125,11 @@ class BDDNode:
 
     def is_satisfiable(self) -> bool:
         """A reduced BDD is satisfiable iff it is not the FALSE node."""
-        return not self.is_false()
+        return self._id != FALSE_ID
 
     def is_tautology(self) -> bool:
         """A reduced BDD is a tautology iff it is the TRUE node."""
-        return self.is_true()
+        return self._id == TRUE_ID
 
     def evaluate(self, assignment: Dict[str, bool]) -> bool:
         """Evaluate under a total assignment of variable names.
@@ -95,108 +137,120 @@ class BDDNode:
         Missing variables default to False, matching the preprocessor
         convention that unset configuration variables are undefined.
         """
-        node = self
-        names = self.manager._names
-        while not node.is_terminal():
-            if assignment.get(names[node.var], False):
-                node = node.high
+        manager = self.manager
+        names, level = manager._names, manager._level
+        lo, hi = manager._lo, manager._hi
+        node = self._id
+        while node > TRUE_ID:
+            if assignment.get(names[level[node]], False):
+                node = hi[node]
             else:
-                node = node.low
-        return bool(node.value)
+                node = lo[node]
+        return node == TRUE_ID
 
     def restrict(self, assignment: Dict[str, bool]) -> "BDDNode":
         """Partially evaluate: fix some variables to constants."""
+        manager = self.manager
         by_index = {
-            self.manager._index[name]: value
+            manager._index[name]: value
             for name, value in assignment.items()
-            if name in self.manager._index
+            if name in manager._index
         }
-        return self.manager._restrict(self, by_index, {})
+        return manager._node(manager._restrict(self._id, by_index, {}))
 
     def support(self) -> Tuple[str, ...]:
         """Return the names of variables this function depends on."""
+        manager = self.manager
+        level, lo, hi = manager._level, manager._lo, manager._hi
         seen: set = set()
-        stack = [self]
         visited: set = set()
+        stack = [self._id]
         while stack:
             node = stack.pop()
-            if id(node) in visited or node.is_terminal():
+            if node <= TRUE_ID or node in visited:
                 continue
-            visited.add(id(node))
-            seen.add(node.var)
-            stack.append(node.low)
-            stack.append(node.high)
-        return tuple(self.manager._names[v] for v in sorted(seen))
+            visited.add(node)
+            seen.add(level[node])
+            stack.append(lo[node])
+            stack.append(hi[node])
+        return tuple(manager._names[v] for v in sorted(seen))
 
     def sat_count(self, variables: Optional[Iterable[str]] = None) -> int:
         """Count satisfying assignments over ``variables``.
 
         Defaults to the variables in this node's support.
         """
+        manager = self.manager
         names = tuple(variables) if variables is not None else self.support()
         for name in names:
-            self.manager.var(name)  # register any not-yet-seen variables
-        order = sorted(self.manager._index[n] for n in names)
+            manager.var(name)  # register any not-yet-seen variables
+        order = sorted(manager._index[n] for n in names)
+        position = {index: depth for depth, index in enumerate(order)}
         for name in self.support():
-            if self.manager._index[name] not in order:
+            if manager._index[name] not in position:
                 raise ValueError(
                     "sat_count variables must cover the support; "
                     f"missing {name!r}")
+        level, lo, hi = manager._level, manager._lo, manager._hi
+        size = len(order)
         cache: Dict[Tuple[int, int], int] = {}
 
-        def count(node: "BDDNode", depth: int) -> int:
+        def count(node: int, depth: int) -> int:
             # depth indexes into `order`; free variables between levels
             # multiply the count by two.
-            if node.is_terminal():
-                return (1 << (len(order) - depth)) if node.value else 0
-            key = (node._id, depth)
+            if node <= TRUE_ID:
+                return (1 << (size - depth)) if node == TRUE_ID else 0
+            key = (node, depth)
             if key in cache:
                 return cache[key]
-            level = order.index(node.var)
-            factor = 1 << (level - depth)
-            result = factor * (count(node.low, level + 1) +
-                               count(node.high, level + 1))
+            at = position[level[node]]
+            result = (1 << (at - depth)) * (count(lo[node], at + 1) +
+                                            count(hi[node], at + 1))
             cache[key] = result
             return result
 
-        return count(self, 0)
+        return count(self._id, 0)
 
     def one_sat(self) -> Optional[Dict[str, bool]]:
         """Return one satisfying partial assignment, or None."""
-        if self.is_false():
+        if self._id == FALSE_ID:
             return None
-        names = self.manager._names
+        manager = self.manager
+        names, level = manager._names, manager._level
+        lo, hi = manager._lo, manager._hi
         assignment: Dict[str, bool] = {}
-        node = self
-        while not node.is_terminal():
-            if not node.low.is_false():
-                assignment[names[node.var]] = False
-                node = node.low
+        node = self._id
+        while node > TRUE_ID:
+            if lo[node] != FALSE_ID:
+                assignment[names[level[node]]] = False
+                node = lo[node]
             else:
-                assignment[names[node.var]] = True
-                node = node.high
+                assignment[names[level[node]]] = True
+                node = hi[node]
         return assignment
 
     def all_sat(self) -> Iterator[Dict[str, bool]]:
         """Yield all satisfying partial assignments (cube enumeration)."""
-        if self.is_false():
+        if self._id == FALSE_ID:
             return
-        names = self.manager._names
+        manager = self.manager
+        names, level = manager._names, manager._level
+        lo, hi = manager._lo, manager._hi
 
-        def walk(node: "BDDNode",
+        def walk(node: int,
                  partial: Dict[str, bool]) -> Iterator[Dict[str, bool]]:
-            if node.is_terminal():
-                if node.value:
+            if node <= TRUE_ID:
+                if node == TRUE_ID:
                     yield dict(partial)
                 return
-            name = names[node.var]
+            name = names[level[node]]
             partial[name] = False
-            yield from walk(node.low, partial)
+            yield from walk(lo[node], partial)
             partial[name] = True
-            yield from walk(node.high, partial)
+            yield from walk(hi[node], partial)
             del partial[name]
 
-        yield from walk(self, {})
+        yield from walk(self._id, {})
 
     def iter_models(self, variables: Optional[Iterable[str]] = None) \
             -> Iterator[Dict[str, bool]]:
@@ -269,18 +323,18 @@ class BDDNode:
     # -- rendering ---------------------------------------------------
 
     def to_expr_string(self) -> str:
-        """Render as a DNF-ish string of satisfying cubes (for messages)."""
+        """Render as a DNF-ish string of satisfying cubes (for messages):
+        the first 8 cubes, then ``|| ...`` if there are more."""
         if self.is_true():
             return "1"
         if self.is_false():
             return "0"
-        cubes = []
-        for cube in itertools.islice(self.all_sat(), 8):
-            terms = [name if value else "!" + name
-                     for name, value in sorted(cube.items())]
-            cubes.append(" && ".join(terms) if terms else "1")
-        rendered = " || ".join(cubes)
-        if sum(1 for _ in itertools.islice(self.all_sat(), 9)) > 8:
+        cubes = list(itertools.islice(self.all_sat(), 9))
+        rendered = " || ".join(
+            " && ".join(name if value else "!" + name
+                        for name, value in sorted(cube.items())) or "1"
+            for cube in cubes[:8])
+        if len(cubes) > 8:
             rendered += " || ..."
         return rendered
 
@@ -292,9 +346,9 @@ class BDDNode:
     def __hash__(self) -> int:
         return self._id
 
-    # Equality is identity (hash-consing guarantees canonicity); we do
-    # not override __eq__ so `==` stays `is`-like for nodes of one
-    # manager, which keeps set/dict membership fast.
+    # Equality is identity (one handle per node id); we do not override
+    # __eq__ so `==` stays `is`-like for nodes of one manager, which
+    # keeps set/dict membership fast.
 
 
 class BDDManager:
@@ -307,38 +361,113 @@ class BDDManager:
     def __init__(self) -> None:
         self._names: List[str] = []
         self._index: Dict[str, int] = {}
-        self._unique: Dict[Tuple[int, int, int], BDDNode] = {}
-        self._apply_cache: Dict[Tuple[str, int, int], BDDNode] = {}
-        self._not_cache: Dict[int, BDDNode] = {}
-        self._next_id = 0
-        # Observability counters (repro.obs): node allocations and
-        # op-cache effectiveness.  Plain integer increments on the
-        # apply path — cheap relative to the dict work they sit next
-        # to, and they make BDD pressure visible in per-unit profiles.
-        self.nodes_created = 0
-        self.apply_calls = 0
+        # The node table: id -> (level, lo, hi); the terminals' entries
+        # are placeholders the kernels never read.
+        self._level: List[Optional[int]] = [None, None]
+        self._lo: List[int] = [FALSE_ID, TRUE_ID]
+        self._hi: List[int] = [FALSE_ID, TRUE_ID]
+        self._unique: Dict[Tuple[int, int, int], int] = {}
+        self._not_cache: Dict[int, int] = {}
+        self._xor_cache: Dict[Tuple[int, int], int] = {}
+        # Observability counter (repro.obs): computed-table hits.
         self.apply_cache_hits = 0
-        self.false = self._terminal(False)
-        self.true = self._terminal(True)
+        self._and, self._and_cache = self._binary_kernel(FALSE_ID, TRUE_ID)
+        self._or, self._or_cache = self._binary_kernel(TRUE_ID, FALSE_ID)
+        self.false = BDDNode(self, FALSE_ID)
+        self.true = BDDNode(self, TRUE_ID)
+        self._handles: Dict[int, BDDNode] = {FALSE_ID: self.false,
+                                             TRUE_ID: self.true}
 
-    # -- node construction -------------------------------------------
+    # -- node table ----------------------------------------------------
 
-    def _terminal(self, value: bool) -> BDDNode:
-        node = BDDNode(self, None, None, None, value, self._next_id)
-        self._next_id += 1
+    def _node(self, node_id: int) -> BDDNode:
+        """The canonical handle of ``node_id``."""
+        node = self._handles.get(node_id)
+        if node is None:
+            node = self._handles[node_id] = BDDNode(self, node_id)
         return node
 
-    def _mk(self, var: int, low: BDDNode, high: BDDNode) -> BDDNode:
-        if low is high:
-            return low
-        key = (var, low._id, high._id)
+    def _mk(self, level: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (level, lo, hi)
         node = self._unique.get(key)
         if node is None:
-            node = BDDNode(self, var, low, high, None, self._next_id)
-            self._next_id += 1
-            self.nodes_created += 1
-            self._unique[key] = node
+            node = self._unique[key] = len(self._level)
+            self._level.append(level)
+            self._lo.append(lo)
+            self._hi.append(hi)
         return node
+
+    def _binary_kernel(self, absorbing: int, identity: int) \
+            -> Tuple[Callable[[int, int], int], Dict[Tuple[int, int], int]]:
+        """AND (absorbing FALSE, identity TRUE) or OR (absorbing TRUE,
+        identity FALSE) on two ids, and its computed table.
+
+        The recursive ``apply`` takes two distinct internal ids, smaller
+        first; children are resolved against the terminal rules before
+        recursing, so every call of it is a computed-table probe.
+        """
+        level, lo, hi = self._level, self._lo, self._hi
+        unique = self._unique
+        cache: Dict[Tuple[int, int], int] = {}
+        manager = self
+
+        def apply(f: int, g: int) -> int:
+            key = (f, g)
+            result = cache.get(key)
+            if result is not None:
+                manager.apply_cache_hits += 1
+                return result
+            f_level, g_level = level[f], level[g]
+            if f_level == g_level:
+                top = f_level
+                f0, f1, g0, g1 = lo[f], hi[f], lo[g], hi[g]
+            elif f_level < g_level:
+                top = f_level
+                f0, f1, g0, g1 = lo[f], hi[f], g, g
+            else:
+                top = g_level
+                f0, f1, g0, g1 = f, f, lo[g], hi[g]
+            if f0 == absorbing or g0 == absorbing:
+                r0 = absorbing
+            elif f0 == identity:
+                r0 = g0
+            elif g0 == identity or f0 == g0:
+                r0 = f0
+            else:
+                r0 = apply(f0, g0) if f0 < g0 else apply(g0, f0)
+            if f1 == absorbing or g1 == absorbing:
+                r1 = absorbing
+            elif f1 == identity:
+                r1 = g1
+            elif g1 == identity or f1 == g1:
+                r1 = f1
+            else:
+                r1 = apply(f1, g1) if f1 < g1 else apply(g1, f1)
+            if r0 == r1:  # _mk, inlined
+                result = r0
+            else:
+                triple = (top, r0, r1)
+                result = unique.get(triple)
+                if result is None:
+                    result = unique[triple] = len(level)
+                    level.append(top)
+                    lo.append(r0)
+                    hi.append(r1)
+            cache[key] = result
+            return result
+
+        def operator(f: int, g: int) -> int:
+            if f == absorbing or g == absorbing:
+                return absorbing
+            if f == identity or f == g:
+                return g
+            if g == identity:
+                return f
+            return apply(f, g) if f < g else apply(g, f)
+
+        return operator, cache
 
     def var(self, name: str) -> BDDNode:
         """Return (creating if needed) the BDD for a variable."""
@@ -347,7 +476,7 @@ class BDDManager:
             index = len(self._names)
             self._names.append(name)
             self._index[name] = index
-        return self._mk(index, self.false, self.true)
+        return self._node(self._mk(index, FALSE_ID, TRUE_ID))
 
     def nvar(self, name: str) -> BDDNode:
         """Return the BDD for a negated variable."""
@@ -364,6 +493,18 @@ class BDDManager:
     def num_nodes(self) -> int:
         """Number of live interned internal nodes (for instrumentation)."""
         return len(self._unique)
+
+    @property
+    def nodes_created(self) -> int:
+        """Internal nodes allocated (none is ever freed)."""
+        return len(self._unique)
+
+    @property
+    def apply_calls(self) -> int:
+        """Binary-op computed-table probes: hits plus misses, and every
+        miss leaves exactly one computed-table entry."""
+        return (self.apply_cache_hits + len(self._and_cache) +
+                len(self._or_cache) + len(self._xor_cache))
 
     def stats(self) -> Dict[str, float]:
         """Observability snapshot: node and op-cache counters, with
@@ -382,128 +523,104 @@ class BDDManager:
 
     # -- apply -------------------------------------------------------
 
-    def apply_not(self, node: BDDNode) -> BDDNode:
-        cached = self._not_cache.get(node._id)
-        if cached is not None:
-            return cached
-        if node.is_terminal():
-            result = self.false if node.value else self.true
-        else:
-            result = self._mk(node.var, self.apply_not(node.low),
-                              self.apply_not(node.high))
-        self._not_cache[node._id] = result
+    def _not(self, f: int) -> int:
+        if f <= TRUE_ID:
+            return TRUE_ID - f
+        result = self._not_cache.get(f)
+        if result is None:
+            result = self._mk(self._level[f], self._not(self._lo[f]),
+                              self._not(self._hi[f]))
+            self._not_cache[f] = result
         return result
 
-    def _apply(self, op: str, left: BDDNode, right: BDDNode) -> BDDNode:
-        # Shannon expansion on the smaller top variable; terminal cases
-        # are dispatched per operator below.
-        if op == "and":
-            if left.is_false() or right.is_false():
-                return self.false
-            if left.is_true():
-                return right
-            if right.is_true():
-                return left
-            if left is right:
-                return left
-        elif op == "or":
-            if left.is_true() or right.is_true():
-                return self.true
-            if left.is_false():
-                return right
-            if right.is_false():
-                return left
-            if left is right:
-                return left
-        elif op == "xor":
-            if left is right:
-                return self.false
-            if left.is_false():
-                return right
-            if right.is_false():
-                return left
-            if left.is_true():
-                return self.apply_not(right)
-            if right.is_true():
-                return self.apply_not(left)
-        # Normalize operand order for the commutative cache.
-        if left._id > right._id:
-            left, right = right, left
-        key = (op, left._id, right._id)
-        self.apply_calls += 1
-        cached = self._apply_cache.get(key)
-        if cached is not None:
+    def _xor(self, f: int, g: int) -> int:
+        if f == g:
+            return FALSE_ID
+        if f == FALSE_ID:
+            return g
+        if g == FALSE_ID:
+            return f
+        if f == TRUE_ID:
+            return self._not(g)
+        if g == TRUE_ID:
+            return self._not(f)
+        if f > g:
+            f, g = g, f
+        key = (f, g)
+        result = self._xor_cache.get(key)
+        if result is not None:
             self.apply_cache_hits += 1
-            return cached
-        left_var = left.var if left.var is not None else float("inf")
-        right_var = right.var if right.var is not None else float("inf")
-        if left_var == right_var:
-            var = left.var
-            low = self._apply(op, left.low, right.low)
-            high = self._apply(op, left.high, right.high)
-        elif left_var < right_var:
-            var = left.var
-            low = self._apply(op, left.low, right)
-            high = self._apply(op, left.high, right)
+            return result
+        level, lo, hi = self._level, self._lo, self._hi
+        if level[f] == level[g]:
+            top = level[f]
+            r0 = self._xor(lo[f], lo[g])
+            r1 = self._xor(hi[f], hi[g])
+        elif level[f] < level[g]:
+            top = level[f]
+            r0 = self._xor(lo[f], g)
+            r1 = self._xor(hi[f], g)
         else:
-            var = right.var
-            low = self._apply(op, left, right.low)
-            high = self._apply(op, left, right.high)
-        result = self._mk(var, low, high)
-        self._apply_cache[key] = result
+            top = level[g]
+            r0 = self._xor(f, lo[g])
+            r1 = self._xor(f, hi[g])
+        result = self._xor_cache[key] = self._mk(top, r0, r1)
         return result
+
+    def _own(self, node: BDDNode) -> int:
+        """``node``'s id; a node of another manager is an error."""
+        if node.manager is not self:
+            raise ValueError("cannot combine BDD nodes from different "
+                             "managers")
+        return node._id
+
+    def apply_not(self, node: BDDNode) -> BDDNode:
+        return self._node(self._not(node._id))
 
     def apply_and(self, left: BDDNode, right: BDDNode) -> BDDNode:
-        self._check(left, right)
-        return self._apply("and", left, right)
+        return self._node(self._and(self._own(left), self._own(right)))
 
     def apply_or(self, left: BDDNode, right: BDDNode) -> BDDNode:
-        self._check(left, right)
-        return self._apply("or", left, right)
+        return self._node(self._or(self._own(left), self._own(right)))
 
     def apply_xor(self, left: BDDNode, right: BDDNode) -> BDDNode:
-        self._check(left, right)
-        return self._apply("xor", left, right)
+        return self._node(self._xor(self._own(left), self._own(right)))
 
     def conjoin(self, nodes: Iterable[BDDNode]) -> BDDNode:
         """AND together an iterable of nodes (TRUE for empty)."""
-        result = self.true
+        result = TRUE_ID
         for node in nodes:
-            result = self.apply_and(result, node)
-        return result
+            result = self._and(result, self._own(node))
+        return self._node(result)
 
     def disjoin(self, nodes: Iterable[BDDNode]) -> BDDNode:
         """OR together an iterable of nodes (FALSE for empty)."""
-        result = self.false
+        result = FALSE_ID
         for node in nodes:
-            result = self.apply_or(result, node)
-        return result
+            result = self._or(result, self._own(node))
+        return self._node(result)
 
     # -- quantification ------------------------------------------------
 
-    def exists(self, names: Iterable[str], node: BDDNode) -> BDDNode:
-        """Existential quantification: ∃names. node."""
-        result = node
+    def _quantify(self, names: Iterable[str], node: BDDNode,
+                  combine: Callable[[int, int], int]) -> BDDNode:
+        result = node._id
         for name in names:
             index = self._index.get(name)
             if index is None:
                 continue
             low = self._restrict(result, {index: False}, {})
             high = self._restrict(result, {index: True}, {})
-            result = self.apply_or(low, high)
-        return result
+            result = combine(low, high)
+        return self._node(result)
+
+    def exists(self, names: Iterable[str], node: BDDNode) -> BDDNode:
+        """Existential quantification: ∃names. node."""
+        return self._quantify(names, node, self._or)
 
     def forall(self, names: Iterable[str], node: BDDNode) -> BDDNode:
         """Universal quantification: ∀names. node."""
-        result = node
-        for name in names:
-            index = self._index.get(name)
-            if index is None:
-                continue
-            low = self._restrict(result, {index: False}, {})
-            high = self._restrict(result, {index: True}, {})
-            result = self.apply_and(low, high)
-        return result
+        return self._quantify(names, node, self._and)
 
     def project_onto(self, names: Iterable[str],
                      node: BDDNode) -> BDDNode:
@@ -517,26 +634,20 @@ class BDDManager:
 
     # -- restriction --------------------------------------------------
 
-    def _restrict(self, node: BDDNode, fixed: Dict[int, bool],
-                  cache: Dict[int, BDDNode]) -> BDDNode:
-        if node.is_terminal():
+    def _restrict(self, node: int, fixed: Dict[int, bool],
+                  cache: Dict[int, int]) -> int:
+        if node <= TRUE_ID:
             return node
-        cached = cache.get(node._id)
+        cached = cache.get(node)
         if cached is not None:
             return cached
-        if node.var in fixed:
-            branch = node.high if fixed[node.var] else node.low
+        level = self._level[node]
+        if level in fixed:
+            branch = self._hi[node] if fixed[level] else self._lo[node]
             result = self._restrict(branch, fixed, cache)
         else:
-            result = self._mk(node.var,
-                              self._restrict(node.low, fixed, cache),
-                              self._restrict(node.high, fixed, cache))
-        cache[node._id] = result
+            result = self._mk(level,
+                              self._restrict(self._lo[node], fixed, cache),
+                              self._restrict(self._hi[node], fixed, cache))
+        cache[node] = result
         return result
-
-    # -- internal -----------------------------------------------------
-
-    def _check(self, left: BDDNode, right: BDDNode) -> None:
-        if left.manager is not self or right.manager is not self:
-            raise ValueError("cannot combine BDD nodes from different "
-                             "managers")

@@ -32,6 +32,21 @@ accept path for a single head with one classification; only
 multi-headed subparsers and ambiguous classifications are partitioned
 into Figure 7b's action groups.  Both paths share ``_shift`` and
 ``_reduce``, so results and counters do not depend on the mode.
+
+**Carried presence conditions.**  A subparser's presence condition is
+the disjunction of its heads' conditions.  Merging, shared reduces and
+the budgets need it, so each subparser carries it in ``cond``, set where
+the successor is made and the condition is already at hand: a
+reduction's condition, a shifted head's condition, a MAPR fork's joint
+condition, ``left | right`` for a merge.  Two invariants make this
+exact.  First, ``follow_set(c, e)`` partitions ``c``: ``build_stream``
+completes every branch point with its remainder alternative, so the
+new heads of a shift under ``c`` disjoin to ``c``.  Second, the heads
+of one subparser are mutually exclusive, so when a lazy shift takes
+one head out of a subparser whose heads are unchanged, the heads left
+behind hold under ``whole & ~shifted``.  Where no condition is at
+hand, :meth:`Subparser.condition` disjoins the heads once and keeps
+the result.
 """
 
 from __future__ import annotations
@@ -181,26 +196,32 @@ class Subparser:
     ``heads`` is an ordered tuple of (condition, TokenNode) pairs — one
     pair for single-headed subparsers, several for multi-headed ones
     (lazy shifts / shared reduces).  In MAPR mode a head may be a
-    BranchNode.
+    BranchNode.  ``cond`` is the disjunction of the heads' conditions,
+    or None until :meth:`condition` first needs it.
     """
 
-    __slots__ = ("heads", "stack", "context", "alive")
+    __slots__ = ("heads", "stack", "context", "alive", "cond")
 
     def __init__(self, heads: Tuple[Tuple[Any, StreamElement], ...],
-                 stack: _StackNode, context: ParserContext):
+                 stack: _StackNode, context: ParserContext,
+                 cond: Any = None):
         self.heads = heads
         self.stack = stack
         self.context = context
         # Cleared when the subparser is merged away or stepped (lazy
         # deletion from the priority queue).
         self.alive = True
+        self.cond = cond
 
     @property
     def earliest_position(self) -> int:
         return self.heads[0][1].position
 
     def condition(self, manager: Any) -> Any:
-        return manager.disjoin(cond for cond, _ in self.heads)
+        cond = self.cond
+        if cond is None:
+            cond = self.cond = manager.disjoin(c for c, _ in self.heads)
+        return cond
 
     def __repr__(self) -> str:
         return (f"Subparser(heads={[n.position for _, n in self.heads]}, "
@@ -406,11 +427,12 @@ class FMLRParser:
 
         if options.follow_set or all(isinstance(n, TokenNode)
                                      for _, n in heads):
-            insert(Subparser(tuple(heads), initial_stack, context))
+            insert(Subparser(tuple(heads), initial_stack, context,
+                             root_cond))
         else:
             for cond, node in heads:
                 insert(Subparser(((cond, node),), initial_stack,
-                                 context))
+                                 context, cond))
         while queue:
             _, _, subparser = heapq.heappop(queue)
             if not subparser.alive:
@@ -508,7 +530,7 @@ class FMLRParser:
                     continue
                 forks.append(Subparser(
                     ((joint, sub_element),), subparser.stack,
-                    subparser.context.fork_context()))
+                    subparser.context.fork_context(), joint))
             return forks
 
         state = subparser.stack.state
@@ -597,16 +619,22 @@ class FMLRParser:
         share_context = len(groups) == 1
         context = subparser.context if share_context \
             else subparser.context.fork_context()
+        # Whether the first group is every head with its condition
+        # unchanged, so that it holds under the subparser's condition.
+        all_heads = len(first_heads) == len(heads) and all(
+            head[0] is cond for head, (cond, _n) in zip(first_heads, heads))
         if first_kind == "reduce":
             if len(first_heads) > 1:
                 stats.shared_reduce_count += 1
             out.extend(self._reduce(
                 subparser, first_extra,
-                manager.disjoin(head[0] for head in first_heads),
+                subparser.condition(manager) if all_heads
+                else manager.disjoin(head[0] for head in first_heads),
                 tuple(head[:2] for head in first_heads), context))
         else:
             out.extend(self._shift(subparser, first_heads, context,
-                                   manager, stats))
+                                   manager, stats,
+                                   subparser.cond if all_heads else None))
         for kind, extra, group in groups[1:]:
             forked = Subparser(tuple(head[:2] for head in group),
                                subparser.stack,
@@ -640,14 +668,15 @@ class FMLRParser:
             # Malformed tables; treat as rejection for these heads.
             return []
         new_stack = _StackNode(goto_state, production.lhs, value, stack)
-        return [Subparser(heads, new_stack, context)]
+        return [Subparser(heads, new_stack, context, condition)]
 
     def _shift(self, subparser: Subparser,
                heads: Sequence[_Classified],
                context: ParserContext, manager: Any,
-               stats: FMLRStats) -> List[Subparser]:
+               stats: FMLRStats, whole: Any = None) -> List[Subparser]:
         """Shift the earliest head; with lazy shifts, the other heads
-        stay behind in one multi-headed subparser."""
+        stay behind in one multi-headed subparser.  ``whole``, when
+        given, is the condition of all of ``heads`` together."""
         out: List[Subparser] = []
         cond, node, terminal, action = heads[0]
         rest = heads[1:]
@@ -659,10 +688,11 @@ class FMLRParser:
         shift_context = context if not rest else context.fork_context()
         if new_heads:
             out.append(Subparser(tuple(new_heads), new_stack,
-                                 shift_context))
+                                 shift_context, cond))
         if rest:
-            out.append(Subparser(tuple(head[:2] for head in rest),
-                                 subparser.stack, context))
+            out.append(Subparser(
+                tuple(head[:2] for head in rest), subparser.stack, context,
+                None if whole is None else whole & ~cond))
         return out
 
     # -- merging ------------------------------------------------------------
@@ -686,7 +716,8 @@ class FMLRParser:
                                               right_cond)
         heads = tuple((cl | cr, node) for (cl, node), (cr, _n)
                       in zip(left.heads, right.heads))
-        return Subparser(heads, merged_stack, context)
+        return Subparser(heads, merged_stack, context,
+                         left_cond | right_cond)
 
     def _merge_stacks(self, left: _StackNode, right: _StackNode,
                       left_cond: Any, right_cond: Any) \

@@ -34,7 +34,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.baselines import FormulaManager
 from repro.cpp import PreprocessorError, RealFileSystem, render
 from repro.lexer.lexer import LexerError
 from repro.parser.ast import dump, iter_tokens, project

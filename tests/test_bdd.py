@@ -200,3 +200,23 @@ class TestRendering:
 
     def test_negated_var_string(self, mgr):
         assert (~mgr.var("A")).to_expr_string() == "!A"
+
+    def test_more_than_eight_cubes_are_elided(self, mgr):
+        def parity(names):
+            node = mgr.false
+            for name in names:
+                node = node ^ mgr.var(name)
+            return node
+
+        # Odd parity over four variables has exactly 8 cubes; over five
+        # it has 16, of which the first 8 are shown.
+        assert parity("ABCD").to_expr_string() == (
+            "!A && !B && !C && D || !A && !B && C && !D || "
+            "!A && B && !C && !D || !A && B && C && D || "
+            "A && !B && !C && !D || A && !B && C && D || "
+            "A && B && !C && D || A && B && C && !D")
+        assert parity("ABCDE").to_expr_string() == (
+            "!A && !B && !C && !D && E || !A && !B && !C && D && !E || "
+            "!A && !B && C && !D && !E || !A && !B && C && D && E || "
+            "!A && B && !C && !D && !E || !A && B && !C && D && E || "
+            "!A && B && C && !D && E || !A && B && C && D && !E || ...")

@@ -15,6 +15,7 @@ import pytest
 from repro.lexer.tokens import Token, TokenKind
 from repro.obs import Tracer
 from repro.parser import Build, Grammar, Node, StaticChoice, generate
+from repro.parser import fmlr
 from repro.parser.ast import project as ast_project
 from repro.parser.fmlr import (FMLROptions, FMLRParser,
                                OPTIMIZATION_LEVELS, SubparserExplosion,
@@ -548,6 +549,43 @@ class TestGoldenEquivalence:
         mapr = golden["figure6"]["MAPR"]["counters"]
         assert mapr["fmlr.max_subparsers"] > 2 ** (
             GOLDEN_FIGURE6_ENTRIES - 2)
+
+
+class TestCarriedConditions:
+    """The two invariants behind a subparser's carried condition, on
+    the golden corpora (the small kernel, ``mousedev.c`` and Figure 6
+    at every optimization level): a stepped subparser's condition is
+    the disjunction of its heads' conditions, and ``follow_set(c, e)``
+    partitions ``c``."""
+
+    def test_invariants_hold_on_golden_corpora(self, monkeypatch):
+        step, follow = FMLRParser._step, fmlr.follow_set
+        seen = {"steps": 0, "carried": 0, "follow_sets": 0}
+
+        def checked_step(self, subparser, manager, *rest):
+            expected = manager.disjoin(cond for cond, _ in subparser.heads)
+            seen["steps"] += 1
+            seen["carried"] += subparser.cond is not None
+            successors = step(self, subparser, manager, *rest)
+            # After the step, so checking does not fill in a condition
+            # the run would have left to compute lazily.
+            assert subparser.condition(manager) is expected
+            return successors
+
+        def checked_follow_set(condition, element, manager):
+            pairs = follow(condition, element, manager)
+            seen["follow_sets"] += 1
+            assert manager.disjoin(cond for cond, _ in pairs) is condition
+            return pairs
+
+        monkeypatch.setattr(FMLRParser, "_step", checked_step)
+        monkeypatch.setattr(fmlr, "follow_set", checked_follow_set)
+        snapshots = golden_snapshots()
+        with open(GOLDEN_PATH) as handle:
+            assert snapshots == json.load(handle)
+        assert seen["follow_sets"] > 0
+        # Nearly every subparser is made where its condition is at hand.
+        assert seen["carried"] > 0.9 * seen["steps"]
 
 
 if __name__ == "__main__":

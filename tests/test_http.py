@@ -4,6 +4,9 @@ remote-session client (``repro.serve.protocol`` / ``.http`` /
 
 import http.client
 import json
+import os
+import statistics
+import time
 import types
 
 import pytest
@@ -24,6 +27,7 @@ FILES = {
     "b.c": "int b = 2;\n",
 }
 INCLUDE_PATHS = ("include",)
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
 
 @pytest.fixture
@@ -196,6 +200,35 @@ class TestHttpFrontend:
         code, body = roundtrip(conn, "GET", "/healthz")
         assert code == 200 and body["status"] == "ok"
         conn.close()
+
+
+    def test_warm_hit_is_not_held_back_by_nagle(self, tmp_path):
+        # The reply's headers and body are separate writes; with Nagle
+        # on, a keep-alive hit waited about 40 ms for a delayed ACK.
+        files = {}
+        for name in ("mousedev.c", "include/major.h"):
+            with open(os.path.join(EXAMPLES, name)) as handle:
+                files[name] = handle.read()
+        server = ParseServer(
+            config=Config(files=files, include_paths=INCLUDE_PATHS),
+            socket_path=str(tmp_path / "nagle.sock"), http_port=0,
+            cache_dir=str(tmp_path / "cache")).start()
+        try:
+            conn = http_conn(server)
+            code, body = roundtrip(conn, "POST", "/v1/parse",
+                                   {"path": "mousedev.c"})
+            assert code == 200 and body["cache"] == "miss"
+            hits = []
+            for _ in range(20):
+                start = time.perf_counter()
+                code, body = roundtrip(conn, "POST", "/v1/parse",
+                                       {"path": "mousedev.c"})
+                hits.append(time.perf_counter() - start)
+                assert code == 200 and body["cache"] == "hit"
+            conn.close()
+            assert statistics.median(hits) < 0.010
+        finally:
+            server.close()
 
 
 class TestSharedWarmCache:

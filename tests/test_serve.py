@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -733,6 +735,17 @@ class TestServeCli:
                      "--stats"])
         assert code == 1
         assert "cannot connect" in capsys.readouterr().err
+
+    def test_daemon_start_does_not_import_the_baselines(self):
+        # A fresh interpreter: this process has imported everything.
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, repro.tools.serve_cli; "
+                 "print('repro.baselines' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_client_against_running_server(self, tmp_path, capsys):
         sock = str(tmp_path / "cli.sock")
