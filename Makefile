@@ -88,10 +88,12 @@ bench:
 	$(PY) -m pytest benchmarks -q
 
 # The paper's figure shapes as regression gates: Figure 8 subparser
-# bounds, Table 3 counts and the Figure 9 knee (~1 min).
+# bounds, Table 3 counts and the Figure 9 knee, plus the null-tracer
+# gate that keeps the un-traced parse path cheap (~1 min).
 figure-gates:
 	$(PY) -m pytest benchmarks/bench_fig8.py benchmarks/bench_table3.py \
-	    benchmarks/bench_fig9.py -q
+	    benchmarks/bench_fig9.py \
+	    benchmarks/bench_scaling.py::test_null_tracer_overhead -q
 
 # The repository benchmark (BENCHMARK.json): four workloads, end-to-end
 # metrics and correctness checks; see perfbench/README.md.

@@ -34,6 +34,7 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -160,6 +161,36 @@ class _Frame:
         self.synthetic = synthetic  # wraps an include under a condition
 
 
+def _record_error(errors: List[Tuple[BDDNode, str]],
+                  diagnostics: List[Diagnostic], tracer: Any,
+                  condition: BDDNode, message: str, phase: str,
+                  token: Optional[Token] = None) -> None:
+    """Record a confined, condition-scoped error: its configurations
+    join ``error_conditions`` (pruning them from ``feasible_condition``)
+    and a structured diagnostic is kept."""
+    for known_cond, known_msg in errors:
+        if known_cond is condition and known_msg == message:
+            return  # already recorded (e.g. hoist-retry re-expansion)
+    errors.append((condition, message))
+    diagnostics.append(
+        Diagnostic(condition, SEVERITY_CONFIG, phase, message,
+                   origin_of(token)))
+    if tracer.enabled:
+        tracer.event("diagnostic", phase=phase, origin=origin_of(token))
+        tracer.count("cpp.confined_errors")
+
+
+def _expansion_sink(record_error: Any, condition: BDDNode,
+                    error: PreprocessorError) -> bool:
+    """Expander callback: absorb macro-expansion failures occurring
+    under a non-TRUE condition (the invocation is dropped)."""
+    if condition.is_true():
+        return False
+    record_error(condition, str(error), PHASE_EXPANSION,
+                 getattr(error, "token", None))
+    return True
+
+
 class Preprocessor:
     """Configuration-preserving preprocessor for one compilation unit."""
 
@@ -180,16 +211,23 @@ class Preprocessor:
         self.table = MacroTable(self.manager)
         self.stats = PreprocessorStats()
         self.budget = budget or ResourceBudget()
+        self._errors: List[Tuple[BDDNode, str]] = []
+        self.diagnostics: List[Diagnostic] = []
+        # Partials over the error lists, not bound methods: an expander
+        # holding a bound method of this preprocessor would make a
+        # reference cycle, and the unit's macro table and buffers would
+        # then wait for the cycle collector instead of dying with it.
+        self._record_error = functools.partial(
+            _record_error, self._errors, self.diagnostics, self.tracer)
+        sink = functools.partial(_expansion_sink, self._record_error)
         self._expansion_stats = ExpansionStats()
         self.expander = Expander(self.table, self.manager,
-                                 self._expansion_stats,
-                                 sink=self._expansion_sink,
+                                 self._expansion_stats, sink=sink,
                                  tracer=self.tracer)
         self.directive_expander = Expander(self.table, self.manager,
                                            self._expansion_stats,
                                            protect_defined=True,
-                                           sink=self._expansion_sink,
-                                           tracer=self.tracer)
+                                           sink=sink, tracer=self.tracer)
         builtin_map = DEFAULT_BUILTINS if builtins is None else builtins
         for name, body in builtin_map.items():
             self.table.define_builtin(name, body)
@@ -201,9 +239,7 @@ class Preprocessor:
         self._file_stack: List[str] = []
         self._included: Dict[str, Optional[str]] = {}  # path -> guard
         self.guard_macros: set = set()
-        self._errors: List[Tuple[BDDNode, str]] = []
         self._warnings: List[Tuple[BDDNode, str]] = []
-        self.diagnostics: List[Diagnostic] = []
         self._pending_annotations: Tuple[str, ...] = ()
         # Time spent lexing (separated out for the Figure 10 latency
         # breakdown); total preprocessing time is measured by callers.
@@ -280,23 +316,6 @@ class Preprocessor:
 
     # -- error confinement ----------------------------------------------------
 
-    def _record_error(self, condition: BDDNode, message: str, phase: str,
-                      token: Optional[Token] = None) -> None:
-        """Record a confined, condition-scoped error: its configurations
-        join ``error_conditions`` (pruning them from
-        ``feasible_condition``) and a structured diagnostic is kept."""
-        for known_cond, known_msg in self._errors:
-            if known_cond is condition and known_msg == message:
-                return  # already recorded (e.g. hoist-retry re-expansion)
-        self._errors.append((condition, message))
-        self.diagnostics.append(
-            Diagnostic(condition, SEVERITY_CONFIG, phase, message,
-                       origin_of(token)))
-        if self.tracer.enabled:
-            self.tracer.event("diagnostic", phase=phase,
-                              origin=origin_of(token))
-            self.tracer.count("cpp.confined_errors")
-
     def _confine_or_raise(self, error: PreprocessorError,
                           condition: BDDNode, phase: str) -> None:
         """Confine ``error`` to ``condition`` like an ``#error`` branch,
@@ -312,16 +331,6 @@ class Preprocessor:
                 # The whole open branch is broken: prune its tokens.
                 frame.erroneous = True
                 frame.buffer = []
-
-    def _expansion_sink(self, condition: BDDNode,
-                        error: PreprocessorError) -> bool:
-        """Expander callback: absorb macro-expansion failures occurring
-        under a non-TRUE condition (the invocation is dropped)."""
-        if condition.is_true():
-            return False
-        self._record_error(condition, str(error), PHASE_EXPANSION,
-                           getattr(error, "token", None))
-        return True
 
     def _buffer(self) -> TokenTree:
         if self._frames:

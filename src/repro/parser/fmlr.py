@@ -21,17 +21,28 @@ Disabling the follow-set gives MAPR's naive per-branch forking; with
 tie-breaker.  A kill switch bounds the live subparser count (the paper
 uses 16,000 for the MAPR comparison).
 
-**Sole-subparser mode.**  Between conditionals Algorithm 2 is plain LR:
-one live, single-headed subparser.  While a step leaves exactly one
-successor and no other subparser is live, ``parse`` steps that
-successor directly instead of inserting it (no merge partner can
-exist, and the next pop would return it).  Each such step still does
-the per-iteration bookkeeping: counters, kill switch, BDD budget and
-trace histogram.  Likewise ``_step`` takes a straight shift/reduce/
-accept path for a single head with one classification; only
-multi-headed subparsers and ambiguous classifications are partitioned
-into Figure 7b's action groups.  Both paths share ``_shift`` and
-``_reduce``, so results and counters do not depend on the mode.
+**Front-runner mode.**  Between a fork and its merge one subparser is
+usually strictly ahead of the rest, and between conditionals it is the
+only one: Algorithm 2 is then plain LR.  After a pop, ``parse`` drops
+dead entries off the heap top and takes that entry's earliest head
+position as the *limit* (infinity for an empty queue).  The queue does
+not change until something is inserted, so the limit holds for the
+whole stretch.  A lone successor strictly below the limit is stepped
+without an insert, for two reasons: it has no merge partner, since a
+partner holds the same head nodes and so sits at the same position;
+and the next pop would return it anyway, since every priority mode
+orders by position first.  The tie rule: a successor *at* the limit,
+even a reduce that did not move its head, goes through ``insert``.  The
+queue's tie-breakers may step the tied subparser first, and a merge
+that becomes possible only after that step must not be missed.
+:meth:`FMLRParser._run_lead` runs the stretch.  It keeps a
+single-headed subparser's condition, head, stack and context in locals
+and builds a :class:`Subparser` only when the stretch ends; every
+iteration still does the bookkeeping (counters, kill switch, BDD budget,
+trace histogram).  Multi-headed subparsers, MAPR branch points and
+ambiguous classifications go through ``_step`` and Figure 7b's action
+groups; both paths share one stack reduction, so results and counters
+do not depend on the mode.
 
 **Carried presence conditions.**  A subparser's presence condition is
 the disjunction of its heads' conditions.  Merging, shared reduces and
@@ -69,6 +80,9 @@ from repro.parser.stream import (BranchNode, StreamElement, TokenNode,
 
 # A classified head: (condition, token node, terminal, LALR action).
 _Classified = Tuple[Any, TokenNode, str, Tuple]
+
+# The front-runner limit while no other subparser is queued.
+_NO_LIMIT = float("inf")
 
 
 class SubparserExplosion(Exception):
@@ -439,45 +453,140 @@ class FMLRParser:
                 continue
             subparser.alive = False  # popped: no longer mergeable
             live_count[0] -= 1
-            # Sole-subparser mode: while the stepped subparser is the
-            # only live one and yields exactly one successor, step that
-            # successor directly.  Inserting it could not merge it, and
-            # the next pop would return it again.
-            while True:
-                stats.iterations += 1
-                live = live_count[0] + 1  # include the one being stepped
-                stats.subparser_counts.append(live)
-                if trace:
-                    tracer.record("fmlr.subparsers", live)
-                if live > stats.max_subparsers:
-                    stats.max_subparsers = live
-                if live > options.kill_switch:
-                    if options.hard_kill_switch:
-                        raise SubparserExplosion(live, options.kill_switch)
-                    shed_forks(live)
-                if budget is not None and budget.max_bdd_nodes \
-                        and stats.iterations % 64 == 0 \
-                        and manager.num_nodes() > budget.max_bdd_nodes:
-                    trip_bdd_budget(subparser)  # empties the queue
-                    break
-                successors = self._step(subparser, manager, accepted,
-                                        failures, stats)
-                if len(successors) == 1 and live_count[0] == 0:
-                    subparser = successors[0]
-                    continue
-                if len(successors) > 1:
-                    forked = len(successors) - 1
-                    stats.forks += forked
-                    if trace:
-                        tracer.count("fmlr.forks", forked)
-                        tracer.event("fork", n=forked,
-                                     position=subparser.earliest_position,
-                                     live=live + forked)
-                for successor in successors:
-                    insert(successor)
-                break
+            # Front-runner mode: until something is inserted the queue
+            # is fixed, so every successor strictly ahead of its
+            # earliest live entry is stepped without an insert.
+            while queue and not queue[0][2].alive:
+                heapq.heappop(queue)
+            limit = queue[0][2].earliest_position if queue else _NO_LIMIT
+            for successor in self._run_lead(
+                    subparser, limit, manager, stats, accepted, failures,
+                    live_count, shed_forks, trip_bdd_budget):
+                insert(successor)
         return FMLRResult(accepted, failures, stats, manager,
                           diagnostics, degraded=bool(diagnostics))
+
+    def _run_lead(self, subparser: Subparser, limit: float, manager: Any,
+                  stats: FMLRStats, accepted: List[Tuple[Any, Any]],
+                  failures: List[ParseFailure], live_count: List[int],
+                  shed_forks: Callable[[int], None],
+                  trip_bdd_budget: Callable[[Subparser], None]) \
+            -> List[Subparser]:
+        """Step ``subparser``, then its lone successor while that stays
+        strictly ahead of ``limit``; return the successors to insert.
+
+        A single-headed subparser whose head is a token node is stepped
+        as plain LR with its condition, head, stack and context in
+        locals; a :class:`Subparser` is built only when the stretch ends
+        or hands a step to :meth:`_step` or the Figure 7b partition.
+        ``subparser`` is the stepped subparser, or None while the
+        locals are ahead of it.
+        """
+        options = self.options
+        tracer = self.tracer
+        trace = tracer.enabled
+        kill_switch = options.kill_switch
+        max_nodes = self.budget.max_bdd_nodes if self.budget else 0
+        action_table = self.tables.action
+        record_count = stats.subparser_counts.append
+        lead = False
+        while True:
+            if not lead:
+                heads = subparser.heads
+                if len(heads) == 1 and isinstance(heads[0][1], TokenNode):
+                    lead = True
+                    cond, node = heads[0]
+                    stack, context = subparser.stack, subparser.context
+            stats.iterations += 1
+            live = live_count[0] + 1  # include the one being stepped
+            record_count(live)
+            if trace:
+                tracer.record("fmlr.subparsers", live)
+            if live > stats.max_subparsers:
+                stats.max_subparsers = live
+            if live > kill_switch:
+                if options.hard_kill_switch:
+                    raise SubparserExplosion(live, kill_switch)
+                shed_forks(live)
+            if max_nodes and stats.iterations % 64 == 0 \
+                    and manager.num_nodes() > max_nodes:
+                trip_bdd_budget(  # empties the queue
+                    subparser if subparser is not None else
+                    Subparser(((cond, node),), stack, context, cond))
+                return []
+            if not lead:
+                successors = self._step(subparser, manager, accepted,
+                                        failures, stats)
+            else:
+                terminal = node.terminal
+                if terminal is None:
+                    terminal = self._base_terminal(node)
+                classes = context.reclassify(node.token, terminal, cond)
+                if len(classes) == 1:
+                    # One classification: a plain LR action, in locals.
+                    sub_cond, terminal = classes[0]
+                    if sub_cond.is_false():
+                        return []
+                    stats.action_lookups += 1
+                    action = action_table[stack.state].get(terminal)
+                    if action is None:
+                        self._reject(sub_cond, node, stack.state, failures)
+                        return []
+                    if action[0] == SHIFT:
+                        stack = _StackNode(action[1], terminal, node.token,
+                                           stack)
+                        succ = node.succ
+                        if not isinstance(succ, TokenNode):
+                            # A conditional: several heads, a MAPR branch
+                            # point, or no feasible token at all.
+                            heads = self._advance(sub_cond, succ, manager)
+                            if not heads:
+                                return []
+                            if len(heads) > 1 or not isinstance(
+                                    heads[0][1], TokenNode):
+                                subparser = Subparser(tuple(heads), stack,
+                                                      context, sub_cond)
+                                if subparser.earliest_position >= limit:
+                                    return [subparser]
+                                lead = False
+                                continue
+                            succ = heads[0][1]
+                        node = succ
+                    elif action[0] == REDUCE:
+                        stack = self._reduce_stack(stack, action[1],
+                                                   sub_cond, context)
+                        if stack is None:
+                            return []
+                    else:  # ACCEPT
+                        accepted.append((sub_cond, stack.value))
+                        return []
+                    cond = sub_cond
+                    subparser = None
+                    if node.position < limit:
+                        continue
+                    return [Subparser(((cond, node),), stack, context,
+                                      cond)]
+                # An implicit conditional (an ambiguous name): Figure 7b.
+                if subparser is None:
+                    subparser = Subparser(((cond, node),), stack, context,
+                                          cond)
+                successors = self._partition(subparser, [(node, classes)],
+                                             manager, accepted, failures,
+                                             stats)
+            if len(successors) == 1:
+                subparser = successors[0]
+                if subparser.earliest_position < limit:
+                    lead = False
+                    continue
+            elif successors:
+                forked = len(successors) - 1
+                stats.forks += forked
+                if trace:
+                    tracer.count("fmlr.forks", forked)
+                    tracer.event("fork", n=forked,
+                                 position=subparser.earliest_position,
+                                 live=live + forked)
+            return successors
 
     # -- scheduling -------------------------------------------------------
 
@@ -499,9 +608,11 @@ class FMLRParser:
         return (position, rank)
 
     def _base_terminal(self, node: TokenNode) -> str:
-        if node.is_eof:
-            return END
-        return self.classify(node.token)
+        terminal = node.terminal
+        if terminal is None:
+            terminal = node.terminal = END if node.is_eof \
+                else self.classify(node.token)
+        return terminal
 
     # -- stepping ---------------------------------------------------------
 
@@ -518,10 +629,12 @@ class FMLRParser:
               accepted: List[Tuple[Any, Any]],
               failures: List[ParseFailure],
               stats: FMLRStats) -> List[Subparser]:
-        options = self.options
+        """Step a subparser :meth:`_run_lead` does not run in locals: a
+        multi-headed one, or a MAPR branch point."""
         heads = subparser.heads
         # MAPR mode: a head may be a branch point -> naive forking.
-        if not options.follow_set and isinstance(heads[0][1], BranchNode):
+        if not self.options.follow_set and isinstance(heads[0][1],
+                                                      BranchNode):
             cond, node = heads[0]
             forks = []
             for branch_cond, sub_element in node.alternatives:
@@ -532,43 +645,25 @@ class FMLRParser:
                     ((joint, sub_element),), subparser.stack,
                     subparser.context.fork_context(), joint))
             return forks
-
-        state = subparser.stack.state
         reclassify = subparser.context.reclassify
-        if len(heads) == 1:
-            cond, node = heads[0]
-            classes = reclassify(node.token, self._base_terminal(node),
-                                 cond)
-            if len(classes) == 1:
-                # One head, one classification: a plain LR action.
-                sub_cond, terminal = classes[0]
-                if sub_cond.is_false():
-                    return []
-                stats.action_lookups += 1
-                action = self.tables.action[state].get(terminal)
-                if action is None:
-                    self._reject(sub_cond, node, state, failures)
-                    return []
-                if action[0] == SHIFT:
-                    return self._shift(
-                        subparser, ((sub_cond, node, terminal, action),),
-                        subparser.context, manager, stats)
-                if action[0] == REDUCE:
-                    if sub_cond is not cond:
-                        heads = ((sub_cond, node),)
-                    return self._reduce(subparser, action[1], sub_cond,
-                                        heads, subparser.context)
-                accepted.append((sub_cond, subparser.stack.value))
-                return []
-            by_head = [(node, classes)]
-        else:
-            by_head = [(node, reclassify(node.token,
-                                         self._base_terminal(node), cond))
-                       for cond, node in heads]
+        by_head = [(node, reclassify(node.token, self._base_terminal(node),
+                                     cond))
+                   for cond, node in heads]
+        return self._partition(subparser, by_head, manager, accepted,
+                               failures, stats)
 
-        # Classify every head, splitting on ambiguous classifications
-        # (implicit conditionals, e.g. conditionally-defined typedef
-        # names) and dropping rejecting heads.
+    def _partition(self, subparser: Subparser,
+                   by_head: List[Tuple[TokenNode, List[Tuple[Any, str]]]],
+                   manager: Any, accepted: List[Tuple[Any, Any]],
+                   failures: List[ParseFailure],
+                   stats: FMLRStats) -> List[Subparser]:
+        """Step ``subparser`` given each head's classifications: split
+        on ambiguous classifications (implicit conditionals, e.g.
+        conditionally-defined typedef names), drop rejecting heads, and
+        partition the rest into Figure 7b's action groups."""
+        options = self.options
+        heads = subparser.heads
+        state = subparser.stack.state
         classified: List[_Classified] = []
         for node, classes in by_head:
             for sub_cond, terminal in classes:
@@ -648,16 +743,14 @@ class FMLRParser:
             condition, node.token if not node.is_eof else None,
             self.tables.expected_terminals(state)))
 
-    def _reduce(self, subparser: Subparser, production_index: int,
-                condition: Any, heads: Tuple[Tuple[Any, TokenNode], ...],
-                context: ParserContext) -> List[Subparser]:
-        """Reduce the common stack once for ``heads``, which hold under
-        ``condition`` together."""
+    def _reduce_stack(self, stack: _StackNode, production_index: int,
+                      condition: Any, context: ParserContext) \
+            -> Optional[_StackNode]:
+        """Reduce ``stack`` by one production under ``condition``; None
+        when the tables have no goto (treated as a rejection)."""
         production = self.tables.grammar.productions[production_index]
-        count = len(production.rhs)
-        stack = subparser.stack
         values = []
-        for _ in range(count):
+        for _symbol in production.rhs:
             values.append(stack.value)
             stack = stack.prev
         values.reverse()
@@ -665,10 +758,19 @@ class FMLRParser:
         context.on_reduce(production, value, condition)
         goto_state = self.tables.goto[stack.state].get(production.lhs)
         if goto_state is None:
-            # Malformed tables; treat as rejection for these heads.
+            return None
+        return _StackNode(goto_state, production.lhs, value, stack)
+
+    def _reduce(self, subparser: Subparser, production_index: int,
+                condition: Any, heads: Tuple[Tuple[Any, TokenNode], ...],
+                context: ParserContext) -> List[Subparser]:
+        """Reduce the common stack once for ``heads``, which hold under
+        ``condition`` together."""
+        stack = self._reduce_stack(subparser.stack, production_index,
+                                   condition, context)
+        if stack is None:
             return []
-        new_stack = _StackNode(goto_state, production.lhs, value, stack)
-        return [Subparser(heads, new_stack, context, condition)]
+        return [Subparser(heads, stack, context, condition)]
 
     def _shift(self, subparser: Subparser,
                heads: Sequence[_Classified],

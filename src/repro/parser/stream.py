@@ -30,13 +30,16 @@ StreamElement = Union["TokenNode", "BranchNode"]
 class TokenNode:
     """One ordinary token in the stream DAG."""
 
-    __slots__ = ("token", "position", "succ")
+    __slots__ = ("token", "position", "succ", "terminal")
 
     def __init__(self, token: Token, position: int = -1,
                  succ: Optional[StreamElement] = None):
         self.token = token
         self.position = position
         self.succ = succ
+        # The token's base grammar terminal, cached by the parser on
+        # first classification (None until then).
+        self.terminal: Optional[str] = None
 
     @property
     def is_eof(self) -> bool:
@@ -69,47 +72,51 @@ def build_stream(tree: TokenTree, manager: Any,
     Returns the first element (the EOF sentinel for an empty tree).
     """
     eof_node = TokenNode(Token(TokenKind.EOF, "", filename))
-    token_nodes: Dict[int, TokenNode] = {}
-    branch_nodes: Dict[int, BranchNode] = {}
-
-    def build(items: TokenTree, following: StreamElement) -> StreamElement:
-        result: StreamElement = following
-        for item in reversed(items):
-            if isinstance(item, Conditional):
-                alternatives: List[Tuple[Any, StreamElement]] = []
-                remainder = manager.true
-                for condition, subtree in item.branches:
-                    remainder = remainder & ~condition
-                    alternatives.append((condition, build(subtree, result)))
-                if not remainder.is_false():
-                    alternatives.append((remainder, result))
-                node = BranchNode(alternatives)
-                branch_nodes[id(item)] = node
-                result = node
-            else:
-                node = TokenNode(item, succ=result)
-                token_nodes[id(item)] = node
-                result = node
-        return result
-
-    first = build(tree, eof_node)
-
-    # Document-order positions via a forward walk over the *tree*.
-    counter = [0]
-
-    def assign(items: TokenTree) -> None:
-        for item in items:
-            if isinstance(item, Conditional):
-                branch_nodes[id(item)].position = counter[0]
-                for _condition, subtree in item.branches:
-                    assign(subtree)
-            else:
-                token_nodes[id(item)].position = counter[0]
-                counter[0] += 1
-
-    assign(tree)
-    eof_node.position = counter[0]
+    nodes: Dict[int, StreamElement] = {}
+    first = _build(tree, eof_node, manager, nodes)
+    eof_node.position = _assign(tree, 0, nodes)
     return first
+
+
+# ``_build`` and ``_assign`` recurse as module-level functions rather
+# than closures: a self-referencing closure is a reference cycle, and
+# through ``nodes`` it would keep every node and token of the unit alive
+# until the cycle collector runs.
+
+def _build(items: TokenTree, following: StreamElement, manager: Any,
+           nodes: Dict[int, StreamElement]) -> StreamElement:
+    """Link ``items`` in front of ``following``; record each new node in
+    ``nodes`` under the id of the tree item it stands for."""
+    result: StreamElement = following
+    for item in reversed(items):
+        if isinstance(item, Conditional):
+            alternatives: List[Tuple[Any, StreamElement]] = []
+            remainder = manager.true
+            for condition, subtree in item.branches:
+                remainder = remainder & ~condition
+                alternatives.append(
+                    (condition, _build(subtree, result, manager, nodes)))
+            if not remainder.is_false():
+                alternatives.append((remainder, result))
+            result = BranchNode(alternatives)
+        else:
+            result = TokenNode(item, succ=result)
+        nodes[id(item)] = result
+    return result
+
+
+def _assign(items: TokenTree, position: int,
+            nodes: Dict[int, StreamElement]) -> int:
+    """Give the nodes of ``items`` document-order positions from
+    ``position`` on; return the next free position."""
+    for item in items:
+        nodes[id(item)].position = position
+        if isinstance(item, Conditional):
+            for _condition, subtree in item.branches:
+                position = _assign(subtree, position, nodes)
+        else:
+            position += 1
+    return position
 
 
 def stream_tokens(first: StreamElement) -> List[TokenNode]:

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.errors import PHASE_PARSE, PHASE_RESOURCE, ResourceBudget
 from repro.lexer.tokens import Token, TokenKind
 from repro.obs import Tracer
 from repro.parser import Build, Grammar, Node, StaticChoice, generate
@@ -336,7 +337,7 @@ class TestMerging:
 
 
 class TestTracedPath:
-    """Sole-subparser stretches keep the per-iteration hooks: one
+    """Front-runner stretches keep the per-iteration hooks: one
     histogram sample per iteration, one event per fork and merge."""
 
     SOURCE = ("a ; b ; c ; d ; e ; f ;\n" + TestOptimizationLevels.SOURCE
@@ -578,7 +579,24 @@ class TestCarriedConditions:
             assert manager.disjoin(cond for cond, _ in pairs) is condition
             return pairs
 
+        def checked_run_lead(self, subparser, limit, manager, *rest):
+            successors = run_lead(self, subparser, limit, manager, *rest)
+            # A condition carried by a subparser the front-runner loop
+            # hands back is exactly the disjunction of its heads'.  Only
+            # forks from Figure 7b's partition may leave it to be
+            # computed lazily.
+            for successor in successors:
+                seen["handed_back"] += 1
+                if successor.cond is not None:
+                    seen["handed_back_carried"] += 1
+                    assert successor.cond is manager.disjoin(
+                        cond for cond, _ in successor.heads)
+            return successors
+
+        run_lead = FMLRParser._run_lead
+        seen.update(handed_back=0, handed_back_carried=0)
         monkeypatch.setattr(FMLRParser, "_step", checked_step)
+        monkeypatch.setattr(FMLRParser, "_run_lead", checked_run_lead)
         monkeypatch.setattr(fmlr, "follow_set", checked_follow_set)
         snapshots = golden_snapshots()
         with open(GOLDEN_PATH) as handle:
@@ -586,6 +604,67 @@ class TestCarriedConditions:
         assert seen["follow_sets"] > 0
         # Nearly every subparser is made where its condition is at hand.
         assert seen["carried"] > 0.9 * seen["steps"]
+        assert seen["handed_back_carried"] > 0.9 * seen["handed_back"]
+
+
+class TestFrontRunner:
+    """A subparser strictly ahead of every queued one is stepped without
+    an insert; the stretch ends at the queue head's position."""
+
+    # Reduced from the seed-2012 golden kernel (``input_drv1.c``): the
+    # ``CONFIG_A`` subparser finishes ``if (a)`` tied with the queued
+    # one at ``i``.  A loop that kept reducing at the tie, instead of
+    # inserting, merged the two later and took 109 iterations.
+    TIE = ("int f(void)\n{\n#ifdef CONFIG_A\n    if (a)\n#endif\n"
+           "    i = b;\n}\n")
+
+    def test_tie_with_queue_head_goes_through_insert(self):
+        from repro.cpp import DictFileSystem
+        from repro.superc import SuperC
+        result = SuperC(DictFileSystem({})).parse_source(self.TIE, "tie.c")
+        snapshot = fmlr_snapshot(result.parse)
+        # The run through the priority queue for every step.
+        assert snapshot["counters"]["fmlr.merges"] == 1
+        assert snapshot["counters"]["fmlr.iterations"] == 108
+        assert snapshot["subparser_counts"] == "1*20 2*80 1*8"
+        assert snapshot["ast"] == "3b80a962ce2ef97681e6"
+
+    # The ``C`` configurations fail first; then the ``A`` subparser runs
+    # ahead of the queued ``!A`` one through forty items.
+    AHEAD = "#ifdef C\n; ;\n#endif\nx ;\n#ifdef A\n" + "a ; " * 40 + \
+        "\n#endif\ntail ;"
+
+    def parse_ahead(self, **kwargs):
+        unit = preprocess(self.AHEAD)
+        parser = FMLRParser(ident_list_grammar(), classify, **kwargs)
+        return parser.parse(unit.tree, unit.manager,
+                            unit.feasible_condition)
+
+    def test_bdd_budget_trips_while_front_runner_steps(self):
+        result = self.parse_ahead(budget=ResourceBudget(max_bdd_nodes=1))
+        stats = result.stats
+        # Tested every 64 iterations: the first test falls in the stretch.
+        assert stats.iterations == 64 and stats.forks == 1
+        assert run_lengths(stats.subparser_counts) == "1*5 2*59"
+        (failure,), (diagnostic,) = result.failures, result.diagnostics
+        assert diagnostic.phase == PHASE_RESOURCE
+        # The front-runner's configurations and the queued one's: every
+        # configuration not already rejected.
+        assert diagnostic.condition is ~failure.condition
+        assert not result.accepted
+
+    def test_soft_kill_switch_trips_while_front_runner_steps(self):
+        result = self.parse_ahead(options=FMLROptions(kill_switch=1))
+        stats = result.stats
+        assert stats.kill_switch_trips == 1
+        assert stats.dropped_subparsers == 1
+        # The stretch's first step sees two live subparsers and drops
+        # the queued one; the front-runner parses on alone.
+        assert run_lengths(stats.subparser_counts) == "1*5 2*1 1*164"
+        (failure,), (diagnostic,) = result.failures, result.diagnostics
+        ((accepted, _value),) = result.accepted
+        assert diagnostic.phase == PHASE_PARSE
+        assert diagnostic.condition is ~(failure.condition | accepted)
 
 
 if __name__ == "__main__":

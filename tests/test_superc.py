@@ -6,6 +6,7 @@ configuration, the FMLR AST projected onto it equals the plain-LR
 parse of the projected token stream.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -281,6 +282,37 @@ class TestSuperCFileAPI:
         superc = SuperC(DictFileSystem({}))
         with pytest.raises(FileNotFoundError):
             superc.parse_file("nope.c")
+
+    def test_dropped_result_freed_without_cycle_collector(self):
+        """A parsed unit's token stream and preprocessor die with its
+        result by reference counting: neither sits in a reference cycle
+        that only the cycle collector could free."""
+        from repro.cpp.preprocessor import Preprocessor
+        from repro.parser.stream import TokenNode
+        fs = DictFileSystem({
+            "src/main.c": '#include "util.h"\n'
+                          "#ifdef CONFIG_A\nint a;\n#else\nlong a;\n"
+                          "#endif\nint main(void) { return TWICE(a); }\n",
+            "src/util.h": "#define TWICE(x) ((x) + (x))\n",
+        })
+        superc = SuperC(fs)
+        superc.parse_file("src/main.c")  # warm the grammar tables
+
+        def survivors():
+            objects = gc.get_objects()
+            return (sum(isinstance(o, TokenNode) for o in objects),
+                    sum(isinstance(o, Preprocessor) for o in objects))
+
+        gc.collect()
+        before = survivors()
+        gc.disable()
+        try:
+            result = superc.parse_file("src/main.c")
+            assert result.ok
+            del result
+            assert survivors() == before
+        finally:
+            gc.enable()
 
     def test_all_optimization_levels_parse_figure6(self):
         source = TestFigure6.source(6)
