@@ -27,7 +27,7 @@ from repro.cpp.errors import IncompleteInvocation, PreprocessorError
 from repro.cpp.hoist import hoist, unhoist
 from repro.cpp.macro_table import FREE, MacroDefinition, MacroTable
 from repro.cpp.tree import Conditional, TokenTree
-from repro.lexer.lexer import Lexer
+from repro.lexer.lexer import lex_logical_lines
 from repro.lexer.tokens import Token, TokenKind
 
 
@@ -507,8 +507,8 @@ class Expander:
             raise PreprocessorError(
                 "token pasting across an unhoisted conditional", head)
         text = left.text + right.text
-        lexed = [t for t in Lexer(text, head.file).tokens()
-                 if t.kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
+        lexed = [t for line in lex_logical_lines(text, head.file)
+                 for t in line]
         if len(lexed) != 1:
             raise PreprocessorError(
                 f"pasting {left.text!r} and {right.text!r} does not form "

@@ -26,7 +26,7 @@ import posixpath
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lexer import lex_logical_lines
-from repro.lexer.tokens import TokenKind
+from repro.lexer.tokens import Token, TokenKind
 
 
 def text_digest(text: str) -> str:
@@ -131,9 +131,15 @@ class IncludeResolver:
 def detect_guard(text: str, filename: str = "<header>") -> Optional[str]:
     """Return the guard macro name if the file is guard-protected."""
     try:
-        lines = [line for line in lex_logical_lines(text, filename) if line]
+        lines = lex_logical_lines(text, filename)
     except Exception:
         return None
+    return guard_of_lines(lines)
+
+
+def guard_of_lines(lines: Sequence[Sequence[Token]]) -> Optional[str]:
+    """:func:`detect_guard` on a file's already-lexed logical lines."""
+    lines = [line for line in lines if line]
     directives = [line for line in lines
                   if line and line[0].kind is TokenKind.HASH]
     if len(directives) < 3:

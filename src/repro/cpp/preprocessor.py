@@ -45,7 +45,7 @@ from repro.cpp.expansion import Expander, ExpansionStats
 from repro.cpp.expression import ExprError, parse_expression
 from repro.cpp.hoist import hoist
 from repro.cpp.includes import (DictFileSystem, FileSystem, IncludeResolver,
-                                detect_guard)
+                                guard_of_lines)
 from repro.cpp.macro_table import (FREE, UNDEFINED, MacroDefinition,
                                    MacroTable)
 from repro.cpp.tree import Conditional, TokenTree, max_depth
@@ -274,21 +274,18 @@ class Preprocessor:
 
     # -- main loop --------------------------------------------------------------
 
-    def _process_file(self, filename: str, text: str) -> None:
-        depth_limit = self.budget.max_include_depth
-        if len(self._file_stack) > depth_limit:
-            raise PreprocessorError(
-                f"include depth exceeds {depth_limit} "
-                f"(cycle?) at {filename}", phase=PHASE_INCLUDE)
+    def _process_file(self, filename: str, text: str,
+                      lines: Optional[List[List[Token]]] = None) -> None:
+        """Process one file; ``lines`` are its logical lines when the
+        caller has lexed it already (a header's first inclusion)."""
+        self._check_include_depth(filename)
         self._file_stack.append(filename)
         entry_depth = len(self._frames)
         # Nested includes recurse through here, so traced runs get the
         # include tree as nested "file" spans for free.
         with self.tracer.span("file", name=filename):
-            with self.tracer.span("lex", file=filename):
-                lex_start = time.perf_counter()
-                lines = lex_logical_lines(text, filename)
-                self.lex_seconds += time.perf_counter() - lex_start
+            if lines is None:
+                lines = self._lex(filename, text)
             for line in lines:
                 if not line:
                     continue
@@ -300,6 +297,23 @@ class Preprocessor:
             raise PreprocessorError(
                 f"conditional opened in {filename} is not closed there")
         self._file_stack.pop()
+
+    def _check_include_depth(self, filename: str) -> None:
+        depth_limit = self.budget.max_include_depth
+        if len(self._file_stack) > depth_limit:
+            raise PreprocessorError(
+                f"include depth exceeds {depth_limit} "
+                f"(cycle?) at {filename}", phase=PHASE_INCLUDE)
+
+    def _lex(self, filename: str, text: str) -> List[List[Token]]:
+        """Lex one file into logical lines, billed to the lex phase.
+        Each inclusion lexes afresh: ``_text_line`` stamps versions and
+        annotations on the tokens, so inclusions must not share them."""
+        with self.tracer.span("lex", file=filename):
+            lex_start = time.perf_counter()
+            lines = lex_logical_lines(text, filename)
+            self.lex_seconds += time.perf_counter() - lex_start
+        return lines
 
     def _abs_condition(self) -> BDDNode:
         if self._frames:
@@ -624,6 +638,7 @@ class Preprocessor:
                     f"cannot find include file {name!r}", origin,
                     phase=PHASE_INCLUDE)
             text = self.fs.read(path)
+            lines = None
             if path in self._included:
                 guard = self._included[path]
                 if guard is not None:
@@ -633,13 +648,23 @@ class Preprocessor:
                         return  # guard satisfied everywhere: skip
                 self.stats.reincluded_headers += 1
             else:
-                guard = detect_guard(text, path)
+                # The first inclusion lexes once, for the guard and
+                # for processing.  A broken header stays unguarded.
+                self._included[path] = None
+                try:
+                    lines = self._lex(path, text)
+                except LexerError:
+                    # Past the include-depth budget, the budget is the
+                    # error, as for a header that lexes.
+                    self._check_include_depth(path)
+                    raise
+                guard = guard_of_lines(lines)
                 self._included[path] = guard
                 if guard is not None:
                     self.guard_macros.add(guard)
             if condition is self._abs_condition() or \
                     condition.equiv(self._abs_condition()).is_true():
-                self._process_file(path, text)
+                self._process_file(path, text, lines)
                 return
             # Include under a narrower condition (computed-include
             # branch): wrap the file's output in a synthetic
@@ -647,7 +672,7 @@ class Preprocessor:
             frame = _Frame(self._abs_condition(), condition, path,
                            synthetic=True)
             self._frames.append(frame)
-            self._process_file(path, text)
+            self._process_file(path, text, lines)
             self._frames.pop()
             if frame.buffer:
                 self._buffer().append(

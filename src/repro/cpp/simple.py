@@ -21,7 +21,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.cpp.errors import PreprocessorError
 from repro.cpp.expression import evaluate_int, parse_expression
 from repro.cpp.includes import FileSystem, IncludeResolver
-from repro.lexer import Lexer, lex_logical_lines
+from repro.lexer import lex_logical_lines
 from repro.lexer.tokens import Token, TokenKind
 
 
@@ -92,8 +92,9 @@ class SimplePreprocessor:
     # -- table ----------------------------------------------------------------
 
     def _define_text(self, name: str, body_text: str) -> None:
-        body = [t for t in Lexer(body_text, f"<define:{name}>").tokens()
-                if t.kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
+        body = [t for line in lex_logical_lines(body_text,
+                                                f"<define:{name}>")
+                for t in line]
         self._version += 1
         self._events.setdefault(name, []).append(
             (self._version, SimpleMacro(name, body)))
@@ -504,8 +505,8 @@ class SimplePreprocessor:
         if right is None or right.text == "":
             return left
         text = left.text + right.text
-        lexed = [t for t in Lexer(text, head.file).tokens()
-                 if t.kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
+        lexed = [t for line in lex_logical_lines(text, head.file)
+                 for t in line]
         if len(lexed) != 1:
             raise PreprocessorError(
                 f"pasting {left.text!r} and {right.text!r} does not form "

@@ -2,8 +2,8 @@
 
 Lexing is the first of the paper's three steps (Table 1).  The lexer:
 
-* splices line continuations (backslash-newline) while keeping a map
-  back to physical line numbers,
+* splices line continuations (backslash-newline) while keeping the
+  splice points, so every token still reports its physical line,
 * strips whitespace and comments into per-token ``layout`` annotations
   instead of discarding them (so refactorings can restore source text),
 * produces ``NEWLINE`` tokens at the end of every logical line, which
@@ -11,18 +11,40 @@ Lexing is the first of the paper's three steps (Table 1).  The lexer:
 * lexes C preprocessing numbers (not C numeric constants), as the
   standard requires before preprocessing.
 
+The scanner is one compiled pattern, matched once per token: a layout
+run (horizontal whitespace, ``/*…*/`` and ``//…`` comments) followed by
+one alternation of token classes.  Maximal munch falls out of the
+order of that alternation, since the regular-expression engine commits
+to the first alternative that matches and every class is greedy:
+``L``-prefixed and plain literals come before identifiers (so ``L"x"``
+is one string), identifiers before pp-numbers, a pp-number tries the
+two-character ``[eEpP][+-]`` before a single character (so ``1e+5`` is
+one number), ``##`` comes before ``#``, the punctuators are tried
+longest first (so ``<<=`` is never ``<<`` ``=``), and any other single
+character is a token of its own.  An unterminated literal or comment
+matches an error alternative, and :class:`LexerError` reports the
+position of its opening delimiter.
+
+Continuations are spliced only when the text contains one, and the
+splice points are kept.  A token's line is the newlines and splice
+points before it, counted as the scan passes them; columns are
+measured in the spliced text.
+
 Keywords are not distinguished here — any identifier may be a macro
 name — so keyword classification happens in the parser front-end.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+import re
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lexer.tokens import Token, TokenKind
 
 # Multi-character punctuators, longest first so maximal munch works by
-# scanning this list in order.
+# trying this list in order.
 _PUNCTUATORS = [
     "...", "<<=", ">>=",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -31,10 +53,35 @@ _PUNCTUATORS = [
     "/", "%", "<", ">", "^", "|", "?", ":", ";", "=", ",",
 ]
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_SPLICE = re.compile(r"\\\r?\n")
+
+# Group 1 is the layout; exactly one later group matches the token.
+# The layout can never be followed by a failing alternation (some
+# alternative matches every character, and EOF matches the end), so
+# the engine never backtracks into it.
+_SCANNER = re.compile(r"""
+    ( (?: [ \t\v\f\r]+ | /\*.*?\*/ | //[^\n]* )* )
+    (?: (\n)                                # 2  NEWLINE
+      | (L?'(?:\\.|[^'\\\n])*')             # 3  CHARACTER
+      | (L?"(?:\\.|[^"\\\n])*")             # 4  STRING
+      | (L?['"])                            # 5  unterminated literal
+      | (/\*)                               # 6  unterminated comment
+      | (\Z)                                # 7  EOF
+      | ([A-Za-z_$][A-Za-z0-9_$]*)          # 8  IDENTIFIER
+      | (\.?[0-9](?:[eEpP][+-]|[A-Za-z0-9_$.])*)  # 9  NUMBER
+      | (\#\#)                              # 10 HASHHASH
+      | (\#)                                # 11 HASH
+      | (%s)                                # 12 PUNCTUATOR
+      | (.)                                 # 13 OTHER
+    )""" % "|".join(re.escape(p) for p in _PUNCTUATORS),
+    re.VERBOSE | re.DOTALL)
+
+_NEWLINE, _CHARACTER, _STRING, _OPEN_LITERAL, _OPEN_COMMENT, _EOF = \
+    range(2, 8)
+# Token kind by group number, for the groups from 8 on.
+_KINDS = (None,) * 8 + (TokenKind.IDENTIFIER, TokenKind.NUMBER,
+                        TokenKind.HASHHASH, TokenKind.HASH,
+                        TokenKind.PUNCTUATOR, TokenKind.OTHER)
 
 
 class LexerError(Exception):
@@ -52,183 +99,103 @@ class Lexer:
 
     def __init__(self, text: str, filename: str = "<input>"):
         self.filename = filename
-        self._text, self._line_map = _splice_continuations(text)
-        self._pos = 0
-        self._col_base = 0  # offset of current physical line start
-
-    # -- public API ----------------------------------------------------
+        self._text = text
 
     def tokens(self) -> Iterator[Token]:
         """Yield all tokens including NEWLINEs, ending with EOF."""
-        text = self._text
-        length = len(text)
-        while True:
-            layout = self._consume_layout()
-            if self._pos >= length:
-                yield self._make(TokenKind.EOF, "", layout)
-                return
-            char = text[self._pos]
-            if char == "\n":
-                token = self._make(TokenKind.NEWLINE, "\n", layout)
-                self._pos += 1
-                yield token
-                continue
-            yield self._lex_token(layout)
-
-    # -- layout ----------------------------------------------------------
-
-    def _consume_layout(self) -> str:
-        """Consume horizontal whitespace and comments (not newlines)."""
-        text = self._text
-        length = len(text)
-        start = self._pos
-        while self._pos < length:
-            char = text[self._pos]
-            if char in " \t\v\f\r":
-                self._pos += 1
-            elif text.startswith("/*", self._pos):
-                end = text.find("*/", self._pos + 2)
-                if end < 0:
-                    line, col = self._where(self._pos)
-                    raise LexerError("unterminated comment",
-                                     self.filename, line, col)
-                self._pos = end + 2
-            elif text.startswith("//", self._pos):
-                end = text.find("\n", self._pos)
-                self._pos = length if end < 0 else end
-            else:
-                break
-        return text[start:self._pos]
-
-    # -- tokens ----------------------------------------------------------
-
-    def _lex_token(self, layout: str) -> Token:
-        text = self._text
-        pos = self._pos
-        char = text[pos]
-        # Wide literals: L'x' and L"x".
-        if char == "L" and pos + 1 < len(text) and text[pos + 1] in "'\"":
-            return self._lex_literal(layout, prefix="L")
-        if char in _IDENT_START:
-            end = pos + 1
-            while end < len(text) and text[end] in _IDENT_CONT:
-                end += 1
-            token = self._make(TokenKind.IDENTIFIER, text[pos:end], layout)
-            self._pos = end
-            return token
-        if char in _DIGITS or (char == "." and pos + 1 < len(text)
-                               and text[pos + 1] in _DIGITS):
-            return self._lex_pp_number(layout)
-        if char in "'\"":
-            return self._lex_literal(layout, prefix="")
-        if text.startswith("##", pos):
-            token = self._make(TokenKind.HASHHASH, "##", layout)
-            self._pos = pos + 2
-            return token
-        if char == "#":
-            token = self._make(TokenKind.HASH, "#", layout)
-            self._pos = pos + 1
-            return token
-        for punct in _PUNCTUATORS:
-            if text.startswith(punct, pos):
-                token = self._make(TokenKind.PUNCTUATOR, punct, layout)
-                self._pos = pos + len(punct)
-                return token
-        token = self._make(TokenKind.OTHER, char, layout)
-        self._pos = pos + 1
-        return token
-
-    def _lex_pp_number(self, layout: str) -> Token:
-        """A C preprocessing number: more permissive than C constants."""
-        text = self._text
-        pos = self._pos
-        end = pos + 1
-        while end < len(text):
-            char = text[end]
-            if char in "eEpP" and end + 1 < len(text) and text[end + 1] in "+-":
-                end += 2
-            elif char in _IDENT_CONT or char == ".":
-                end += 1
-            else:
-                break
-        token = self._make(TokenKind.NUMBER, text[pos:end], layout)
-        self._pos = end
-        return token
-
-    def _lex_literal(self, layout: str, prefix: str) -> Token:
-        text = self._text
-        pos = self._pos
-        quote_pos = pos + len(prefix)
-        quote = text[quote_pos]
-        end = quote_pos + 1
-        terminated = False
-        while end < len(text):
-            char = text[end]
-            if char == "\\":
-                # An escape consumes the next character even if it is
-                # the quote; a backslash at EOF leaves the literal open.
-                end += 2
-                continue
-            if char == quote:
-                end += 1
-                terminated = True
-                break
-            if char == "\n":
-                break
-            end += 1
-        end = min(end, len(text))
-        if not terminated:
-            line, col = self._where(pos)
-            kind = "character" if quote == "'" else "string"
-            raise LexerError(f"unterminated {kind} constant",
-                             self.filename, line, col)
-        kind = TokenKind.CHARACTER if quote == "'" else TokenKind.STRING
-        token = self._make(kind, text[pos:end], layout)
-        self._pos = end
-        return token
-
-    # -- positions ---------------------------------------------------------
-
-    def _where(self, pos: int) -> Tuple[int, int]:
-        line = self._line_map[pos] if pos < len(self._line_map) else (
-            self._line_map[-1] if self._line_map else 1)
-        # Column: distance back to the previous newline in spliced text.
-        newline = self._text.rfind("\n", 0, pos)
-        return line, pos - newline
-
-    def _make(self, kind: TokenKind, text: str, layout: str) -> Token:
-        line, col = self._where(self._pos)
-        return Token(kind, text, self.filename, line, col, layout)
+        yield from lex(self._text, self.filename)
 
 
-def _splice_continuations(text: str) -> Tuple[str, List[int]]:
-    """Remove backslash-newline pairs, keeping a char->line map."""
-    out: List[str] = []
-    line_map: List[int] = []
+def _scan(text: str, filename: str, newlines: Optional[List[Token]]) \
+        -> Tuple[List[List[Token]], Token]:
+    """Scan ``text`` into logical lines and the EOF token.
+
+    Every NEWLINE ends a line of the result, and the tokens after the
+    last NEWLINE form one more line when there are any.  With a
+    ``newlines`` list, the NEWLINE tokens are appended to it.
+    """
+    end = len(text)
+    splices: List[int] = []
+    if "\\\n" in text or "\\\r\n" in text:
+        pieces = _SPLICE.split(text)
+        text = "".join(pieces)
+        end = len(text)
+        # Offsets in the spliced text at which a continuation was cut.
+        splices = list(accumulate(map(len, pieces[:-1])))
+    # The line moves only at a newline or a splice point, so the tokens
+    # of one line share one int (past 256, each sum would be a new one).
+    pending = iter(splices + [end + 1])
+    next_splice = next(pending)
     line = 1
-    i = 0
-    length = len(text)
-    while i < length:
-        if text[i] == "\\" and i + 1 < length and text[i + 1] == "\n":
+    line_start = 0             # offset just past the last newline seen
+    lines: List[List[Token]] = []
+    current: List[Token] = []
+    kinds = _KINDS
+    for match in _SCANNER.finditer(text):
+        group = match.lastindex
+        layout, value = match.group(1, group)
+        start = match.end(1)
+        if "\n" in layout:     # a block comment spanning lines
+            line += layout.count("\n")
+            line_start = match.start() + layout.rindex("\n") + 1
+        while next_splice <= start:
             line += 1
-            i += 2
-            continue
-        # Also handle backslash + CRLF.
-        if text[i] == "\\" and text.startswith("\r\n", i + 1):
+            next_splice = next(pending)
+        if group > _EOF:
+            current.append(Token(kinds[group], value, filename, line,
+                                 start - line_start + 1, layout))
+        elif group == _NEWLINE:
+            if newlines is not None:
+                newlines.append(Token(TokenKind.NEWLINE, "\n", filename,
+                                      line, start - line_start + 1,
+                                      layout))
+            lines.append(current)
+            current = []
             line += 1
-            i += 3
-            continue
-        out.append(text[i])
-        line_map.append(line)
-        if text[i] == "\n":
-            line += 1
-        i += 1
-    return "".join(out), line_map
+            line_start = start + 1
+        elif group <= _STRING:
+            current.append(Token(
+                TokenKind.CHARACTER if group == _CHARACTER
+                else TokenKind.STRING,
+                value, filename, line, start - line_start + 1, layout))
+            if "\n" in value:  # an escaped newline the splice left
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
+        elif group == _EOF:
+            break
+        else:
+            if group == _OPEN_COMMENT:
+                message = "unterminated comment"
+            elif value[-1] == "'":
+                message = "unterminated character constant"
+            else:
+                message = "unterminated string constant"
+            raise LexerError(message, filename, line,
+                             start - line_start + 1)
+    if current:
+        lines.append(current)
+    # EOF reports the line of the text's last character.
+    line = 1
+    if end:
+        line += text.count("\n", 0, end - 1) + \
+            bisect_right(splices, end - 1)
+    eof = Token(TokenKind.EOF, "", filename, line, end - line_start + 1,
+                layout)
+    return lines, eof
 
 
 def lex(text: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``text``, returning all tokens including the final EOF."""
-    return list(Lexer(text, filename).tokens())
+    newlines: List[Token] = []
+    lines, eof = _scan(text, filename, newlines)
+    tokens: List[Token] = []
+    for line, newline in zip(lines, newlines):
+        tokens.extend(line)
+        tokens.append(newline)
+    if len(lines) > len(newlines):
+        tokens.extend(lines[-1])
+    tokens.append(eof)
+    return tokens
 
 
 def lex_logical_lines(text: str,
@@ -238,15 +205,4 @@ def lex_logical_lines(text: str,
     Empty lines are preserved as empty lists so the preprocessor can
     track conditional nesting by line.
     """
-    lines: List[List[Token]] = []
-    current: List[Token] = []
-    for token in Lexer(text, filename).tokens():
-        if token.kind is TokenKind.NEWLINE:
-            lines.append(current)
-            current = []
-        elif token.kind is TokenKind.EOF:
-            if current:
-                lines.append(current)
-        else:
-            current.append(token)
-    return lines
+    return _scan(text, filename, None)[0]

@@ -10,7 +10,7 @@ latency after an edit proportional to what actually changed:
 * **Token-level fingerprints** — :func:`token_fingerprint` hashes the
   lexed token stream (kind + text) of a unit and its read-set,
   ignoring layout: whitespace and comments live in token ``layout``
-  and newline tokens are skipped.  After an edit the content digest
+  and newlines are not hashed.  After an edit the content digest
   changes, but if the token fingerprint is unchanged (comment or
   formatting edit — the common case while typing documentation), the
   preprocessor would read the same files to the same tokens, so the
@@ -25,29 +25,22 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Optional
 
-from repro.lexer import lex
-from repro.lexer.tokens import TokenKind
-
-_SKIPPED_KINDS = (TokenKind.NEWLINE, TokenKind.EOF)
+from repro.lexer import lex_logical_lines
 
 
 def file_token_digest(text: str, filename: str = "<input>") \
         -> Optional[str]:
     """Layout-insensitive digest of one file's token stream; None when
     the file does not lex (fingerprinting then falls back to content
-    digests, which never short-circuit)."""
-    digest = hashlib.sha256()
+    digests, which never short-circuit).  Each token contributes
+    ``kind NUL text SOH``, in one buffer hashed with one update."""
     try:
-        for token in lex(text, filename):
-            if token.kind in _SKIPPED_KINDS:
-                continue
-            digest.update(token.kind.value.encode())
-            digest.update(b"\x00")
-            digest.update(token.text.encode())
-            digest.update(b"\x01")
+        buffer = "".join(f"{token.kind.value}\x00{token.text}\x01"
+                         for line in lex_logical_lines(text, filename)
+                         for token in line).encode()
     except Exception:
         return None
-    return digest.hexdigest()
+    return hashlib.sha256(buffer).hexdigest()
 
 
 def token_fingerprint(read, unit: str,

@@ -1,9 +1,15 @@
 """Unit tests for include resolution and guard detection."""
 
+import os
+
 import pytest
 
+from repro.corpus import KernelSpec, generate_kernel
+from repro.cpp import includes, preprocessor
 from repro.cpp.includes import (DictFileSystem, IncludeResolver,
                                 RealFileSystem, detect_guard)
+from repro.errors import (PHASE_INCLUDE, PHASE_LEX, SEVERITY_CONFIG,
+                          ResourceBudget)
 
 
 class TestDictFileSystem:
@@ -106,3 +112,95 @@ class TestGuardDetection:
         text = ("#ifndef FOO_H\n#ifdef OTHER\n#endif\n"
                 "#define FOO_H\n#endif\n")
         assert detect_guard(text) is None
+
+    def test_lexer_error_returns_none(self):
+        assert detect_guard('#ifndef A\n#define A\n"open\n#endif\n') is None
+
+
+class TestLexOncePerInclusion:
+    """Each inclusion of a file is lexed exactly once: a header's first
+    inclusion reads its guard from the lines it hands to processing."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Preprocess a unit while counting lexer and file calls."""
+        counts = {"lex": 0, "guard_lex": 0, "files": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        # Patched by module attribute, as perfbench's --trace wraps it.
+        monkeypatch.setattr(preprocessor, "lex_logical_lines",
+                            counting("lex", preprocessor.lex_logical_lines))
+        monkeypatch.setattr(includes, "lex_logical_lines",
+                            counting("guard_lex", includes.lex_logical_lines))
+        monkeypatch.setattr(
+            preprocessor.Preprocessor, "_process_file",
+            counting("files", preprocessor.Preprocessor._process_file))
+
+        def run(fs, path, include_paths, **options):
+            for name in counts:
+                counts[name] = 0
+            cpp = preprocessor.Preprocessor(fs, include_paths=include_paths,
+                                            **options)
+            unit = cpp.preprocess_file(path)
+            return cpp, unit, dict(counts)
+        return run
+
+    def test_mousedev(self, counted):
+        root = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "examples")
+        cpp, _, counts = counted(RealFileSystem(),
+                                 os.path.join(root, "mousedev.c"),
+                                 [os.path.join(root, "include")])
+        assert counts == {"lex": 2, "guard_lex": 0, "files": 2}
+        assert cpp.guard_macros == {"_MAJOR_H"}
+        assert cpp.stats.reincluded_headers == 0
+
+    def test_kernel_unit_reincluding_unguarded_header(self, counted):
+        corpus = generate_kernel(KernelSpec(seed=1))
+        cpp, _, counts = counted(corpus.filesystem(),
+                                 "drivers/input/input_drv0.c",
+                                 corpus.include_paths)
+        # 16 distinct files plus the unit; the unguarded
+        # include/linux/unguarded_ids.h is lexed again when re-included.
+        assert counts == {"lex": 18, "guard_lex": 0, "files": 18}
+        assert len(cpp.guard_macros) == 15
+        assert cpp.stats.reincluded_headers == 1
+
+    def test_broken_header_under_condition(self, counted):
+        files = {"include/broken.h": 'int a;\nconst char *s = "open;\n',
+                 "unit.c": '#ifdef CONFIG_A\n#include "broken.h"\n#endif\n'
+                           '#ifdef CONFIG_B\n#include "broken.h"\n#endif\n'
+                           "int y;\n"}
+        cpp, unit, counts = counted(DictFileSystem(files), "unit.c",
+                                    ["include"])
+        message = ("broken include file 'broken.h': include/broken.h:2:17: "
+                   "unterminated string constant")
+        assert [(d.phase, d.severity, d.message) for d in unit.diagnostics] \
+            == [(PHASE_LEX, SEVERITY_CONFIG, f"unit.c:2:2: {message}"),
+                (PHASE_LEX, SEVERITY_CONFIG, f"unit.c:5:2: {message}")]
+        # The broken header counts as included (unguarded), so its
+        # second inclusion is a re-inclusion that fails the same way.
+        assert cpp.stats.reincluded_headers == 1
+        assert cpp.guard_macros == set()
+        # Both inclusions lex it once; the first fails before its file
+        # is processed, the re-inclusion inside processing.
+        assert counts == {"lex": 3, "guard_lex": 0, "files": 2}
+
+    def test_depth_budget_error_wins_over_broken_header(self, counted):
+        # Processing checks the depth before it lexes, so a broken
+        # header past the budget reports the budget, not its lexer error.
+        files = {f"include/d{i}.h": f'#include "d{i + 1}.h"\n'
+                 for i in range(4)}
+        files["include/d4.h"] = '"open\n'
+        files["unit.c"] = ('#ifdef CONFIG_DEEP\n#include "d0.h"\n#endif\n'
+                           "int y;\n")
+        _, unit, _ = counted(DictFileSystem(files), "unit.c", ["include"],
+                             budget=ResourceBudget(max_include_depth=4))
+        assert [(d.phase, d.message) for d in unit.diagnostics] == [
+            (PHASE_INCLUDE, "include depth exceeds 4 (cycle?) "
+                            "at include/d4.h")]
