@@ -39,7 +39,11 @@ robustness-smoke:
 # Tier 2: observability smoke — trace the paper's Figure 1 mousedev
 # example end-to-end with the repro.obs layer, check the emitted
 # Chrome trace_event JSON against the format validator, and print the
-# per-unit profile.  Catches tracer/exporter regressions in seconds.
+# per-unit profile.  Then run the generated corpus through
+# superc-batch twice into one result cache and require the second
+# run's trace to be valid and to carry a result_cache.hits counter
+# sample equal to its unit count.  Catches tracer/exporter/counter
+# regressions in seconds.
 trace-smoke:
 	$(PY) -m repro.tools.parse_cli examples/mousedev.c \
 	    -I examples/include --profile \
@@ -51,6 +55,25 @@ trace-smoke:
 	  sys.exit('invalid trace: ' + '; '.join(problems) \
 	           if problems else 0); \
 	  " && echo "trace-smoke: trace valid"
+	rm -rf /tmp/repro-trace-smoke-cache
+	for pass in 1 2; do \
+	  $(PY) -m repro.tools.batch_cli --generate \
+	      --cache-dir /tmp/repro-trace-smoke-cache \
+	      --trace /tmp/repro-trace-smoke-batch$$pass.json >/dev/null \
+	  || exit 1; done
+	$(PY) -c "import json, sys; \
+	  from repro.obs import validate_chrome_trace; \
+	  trace = json.load(open('/tmp/repro-trace-smoke-batch2.json')); \
+	  problems = validate_chrome_trace(trace); \
+	  events = trace['traceEvents']; \
+	  units = sum(1 for e in events if e['name'] == 'thread_name' \
+	              and e['pid'] == 1); \
+	  hits = [e['args']['value'] for e in events if e['ph'] == 'C' \
+	          and e['name'] == 'result_cache.hits']; \
+	  sys.exit('invalid trace: ' + '; '.join(problems) if problems \
+	           else None if units and hits == [units] \
+	           else f'result_cache.hits samples {hits} for {units} units'); \
+	  " && echo "trace-smoke: warm batch trace counts every unit a hit"
 
 # Tier 2: parse-daemon smoke — start a real repro.serve server on a
 # Unix socket and drive the whole serve contract through the client:

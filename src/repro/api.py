@@ -35,7 +35,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -65,29 +64,6 @@ def result_summary(obj: Any) -> Dict[str, Any]:
         "profile": (obj.profile.summary_dict()
                     if obj.profile is not None else None),
     }
-
-
-def deprecated_property(old_name: str, path: str) -> property:
-    """A property implementing a renamed-attribute shim.
-
-    Reading it emits a :class:`DeprecationWarning` naming the new
-    dotted ``path`` and then resolves that path against ``self`` —
-    e.g. ``lex_seconds = deprecated_property("lex_seconds",
-    "timing.lex")``.
-    """
-
-    def getter(self: Any) -> Any:
-        warnings.warn(
-            f"{type(self).__name__}.{old_name} is deprecated; "
-            f"use .{path} instead",
-            DeprecationWarning, stacklevel=2)
-        value = self
-        for part in path.split("."):
-            value = getattr(value, part)
-        return value
-
-    getter.__name__ = old_name
-    return property(getter, doc=f"Deprecated alias for ``{path}``.")
 
 
 # Keyword-only dataclass fields need Python 3.10; every field has a
@@ -208,6 +184,6 @@ def connect(url: str, **options: Any) -> Any:
 
 __all__ = [
     "Config", "RESULT_FIELDS", "Session", "SuperC", "SuperCResult",
-    "Timing", "connect", "deprecated_property", "is_result", "parse",
+    "Timing", "connect", "is_result", "parse",
     "result_summary",
 ]

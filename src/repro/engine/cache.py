@@ -20,7 +20,9 @@ explicit ``cache_dir``), both derived data that is safe to delete:
 
 Cached result records are the engine's summary dicts (status, timing
 breakdown, subparser counts, preprocessor statistics) — not ASTs — so
-hits are cheap JSON reads.
+hits are cheap JSON reads.  A :class:`ResultCache` counts its probes
+into its owner's :class:`repro.obs.Counters` (a daemon's or a batch
+run's) as ``result_cache.{hits,misses,corrupt}``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import repro
 from repro import chaos
 from repro.cgrammar import c_tables_key, cache_root
 from repro.cpp import FileSystem
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.counters import Counters
 
 # Bump to invalidate every cached result record (schema or semantics
 # change in what the engine records per unit).
@@ -122,18 +124,17 @@ class ResultCache:
     Every read is fault-confined: a truncated, corrupt, or
     wrong-shaped record — a crashed writer, a full disk, manual
     tampering — is treated as a miss, the bad blob is deleted so it
-    cannot poison later runs, and ``engine.result_cache.corrupt``
-    counts the event.  A cache must never raise into a parse.
+    cannot poison later runs, and ``result_cache.corrupt`` counts the
+    event.  A cache must never raise into a parse.
     """
 
     def __init__(self, cache_dir: Optional[str], fingerprint: str,
-                 tracer: object = None):
+                 counters: Optional[Counters] = None):
         root = cache_dir or cache_root()
         self.directory = os.path.join(root, "results", fingerprint)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
+        self.counters = counters if counters is not None else Counters()
+        self.counters.declare("result_cache.hits", "result_cache.misses",
+                              "result_cache.corrupt")
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
@@ -151,7 +152,7 @@ class ResultCache:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            self.misses += 1
+            self.counters.inc("result_cache.misses")
             return None
         try:
             blob = json.loads(data.decode("utf-8"))
@@ -162,19 +163,17 @@ class ResultCache:
                 or not isinstance(blob.get("record"), dict):
             # Truncated write, bit rot, or a non-record blob: miss,
             # and delete the evidence so it cannot poison later runs.
-            self.corrupt += 1
-            self.misses += 1
-            if self.tracer.enabled:
-                self.tracer.count("engine.result_cache.corrupt")
+            self.counters.inc("result_cache.corrupt")
+            self.counters.inc("result_cache.misses")
             try:
                 os.remove(path)
             except OSError:
                 pass
             return None
         if current is not None and not current(blob["reads"]):
-            self.misses += 1
+            self.counters.inc("result_cache.misses")
             return None
-        self.hits += 1
+        self.counters.inc("result_cache.hits")
         return blob
 
     def put(self, key: str, reads: Mapping[str, Optional[str]],

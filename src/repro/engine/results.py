@@ -189,10 +189,14 @@ class CorpusReport:
     """Aggregated outcome of one batch run."""
 
     def __init__(self, records: List[dict], wall_seconds: float = 0.0,
-                 workers: int = 1):
+                 workers: int = 1,
+                 counters: Optional[Dict[str, int]] = None):
         self.records = records
         self.wall_seconds = wall_seconds
         self.workers = workers
+        # The run's process counters (repro.obs.Counters snapshot):
+        # result_cache.*, and pool.* when units ran on workers.
+        self.counters = counters or {}
         by_status: Dict[str, int] = {}
         for record in records:
             by_status[record["status"]] = \

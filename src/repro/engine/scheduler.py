@@ -38,6 +38,7 @@ from repro.engine.metrics import MetricsStream
 from repro.engine.results import (RETRYABLE_STATUSES, STATUS_CRASHED,
                                   STATUS_ERROR, CorpusReport,
                                   error_record, record_from_result)
+from repro.obs.counters import Counters
 from repro.parser.fmlr import OPTIMIZATION_LEVELS
 
 if TYPE_CHECKING:
@@ -335,18 +336,20 @@ class BatchEngine:
             metrics: Optional[MetricsStream] = None,
             tracer: Optional[object] = None) -> CorpusReport:
         """Run the job.  ``tracer`` (a :class:`repro.obs.Tracer`)
-        observes the *parent* side: cache-probe and wave spans plus
-        ``engine.result_cache.hits``/``misses`` counters — worker-side
-        per-unit profiles are controlled by ``EngineConfig.profile``.
+        observes the *parent* side: cache-probe and wave spans —
+        worker-side per-unit profiles are controlled by
+        ``EngineConfig.profile``.  The run's own counters (result
+        cache, worker pool) come back as ``report.counters``.
         """
         from repro.obs.tracer import NULL_TRACER
         tracer = tracer if tracer is not None else NULL_TRACER
         config = self.config
         metrics = metrics or MetricsStream()
         wall_start = time.perf_counter()
+        counters = Counters()
         # The result cache keys on source + read-set, which a custom
         # runner's outcome may not depend on alone — skip it.
-        cache = self._result_cache(job) \
+        cache = self._result_cache(job, counters) \
             if config.use_result_cache and job.runner is None else None
         metrics.run_start(len(job.units), config.workers,
                           optimization=config.optimization,
@@ -376,12 +379,8 @@ class BatchEngine:
                     hit["cache"] = "hit"
                     final[unit] = hit
                     metrics.unit(hit)
-                    if tracer.enabled:
-                        tracer.count("engine.result_cache.hits")
                 else:
                     pending.append(unit)
-                    if cache is not None and tracer.enabled:
-                        tracer.count("engine.result_cache.misses")
 
         if pending:
             runner = UnitRunner(job, config)
@@ -395,7 +394,8 @@ class BatchEngine:
                 # parsing in this process.
                 pool = WorkerPool(runner, PoolConfig(
                     size=config.workers, max_requests=0,
-                    backoff_base=0, breaker_threshold=0)).start()
+                    backoff_base=0, breaker_threshold=0),
+                    counters=counters).start()
             try:
                 self._run_waves(runner, pool, pending, final, reads,
                                 metrics, tracer)
@@ -418,7 +418,8 @@ class BatchEngine:
         report = CorpusReport(records,
                               wall_seconds=time.perf_counter()
                               - wall_start,
-                              workers=config.workers)
+                              workers=config.workers,
+                              counters=counters.snapshot())
         metrics.run_end(report.summary())
         return report
 
@@ -482,11 +483,12 @@ class BatchEngine:
                 if delay > 0:
                     time.sleep(delay)
 
-    def _result_cache(self, job: CorpusJob) -> ResultCache:
+    def _result_cache(self, job: CorpusJob,
+                      counters: Counters) -> ResultCache:
         fingerprint = config_fingerprint(
             job.include_paths, job.builtins, job.extra_definitions,
             self.config.optimization)
-        return ResultCache(self.config.cache_dir, fingerprint)
+        return ResultCache(self.config.cache_dir, fingerprint, counters)
 
     def _dispatch_wave(self, pool: "WorkerPool", units: Sequence[str],
                        attempt: int) -> List[dict]:

@@ -18,15 +18,19 @@ instead of special evaluation passes:
   into corpus rollups;
 * exporters — Chrome ``trace_event`` JSON (open in ``chrome://tracing``
   or Perfetto), a plain-text flamegraph, and the trace validator used
-  by the ``trace-smoke`` Make target.
-
-Fault-tolerance events ride the same counters registry: the serve
-worker pool counts ``serve.worker.{spawn,crash,restart,recycle}`` and
-``serve.breaker.trip``, warm-state journal replay counts
-``serve.journal.{resume,discard}``, and the result cache counts
-quarantined blobs under ``engine.result_cache.corrupt`` — so a
-daemon's ``stats`` op and its Chrome trace tell the same recovery
-story (exercised by the ``chaos-smoke`` Make target).
+  by the ``trace-smoke`` Make target;
+* :class:`Counters` — the process counters of one daemon or one
+  batch run (``repro.obs.counters``): a locked name -> int registry
+  that the serve components and the result cache count into.  The
+  daemon's ``stats`` op is its snapshot (split on ``.`` by
+  :func:`nest`), and :func:`to_chrome_trace` emits the same values as
+  ``"ph": "C"`` samples, so ``stats`` and the trace tell one recovery
+  story: ``pool.{spawns,crashes,restarts,recycles}``,
+  ``pool.breaker.trips``, ``journal.{resumed,discarded}``,
+  ``result_cache.corrupt`` (exercised by the ``chaos-smoke`` Make
+  target).  Per-unit pipeline counters (``fmlr.*``, ``bdd.*``,
+  ``cpp.*``) stay on the tracer: they are a per-unit window, not
+  process totals.
 
 Typical use::
 
@@ -39,6 +43,7 @@ Typical use::
     json.dump(to_chrome_trace(tracer), open("trace.json", "w"))
 """
 
+from repro.obs.counters import Counters, nest
 from repro.obs.exporters import (format_flamegraph, records_to_chrome_trace,
                                  to_chrome_trace, validate_chrome_trace,
                                  write_chrome_trace)
@@ -47,7 +52,8 @@ from repro.obs.tracer import (NULL_TRACER, NullTracer, Span, TraceEvent,
                               Tracer)
 
 __all__ = [
-    "NULL_TRACER", "NullTracer", "Profile", "Span", "TraceEvent",
-    "Tracer", "format_flamegraph", "records_to_chrome_trace",
-    "to_chrome_trace", "validate_chrome_trace", "write_chrome_trace",
+    "Counters", "NULL_TRACER", "NullTracer", "Profile", "Span",
+    "TraceEvent", "Tracer", "format_flamegraph", "nest",
+    "records_to_chrome_trace", "to_chrome_trace",
+    "validate_chrome_trace", "write_chrome_trace",
 ]

@@ -8,8 +8,10 @@ specification — ``{"traceEvents": [...]}`` — loadable in
   microseconds);
 * instant events (FMLR fork/merge, kill-switch trips, diagnostics)
   become ``"ph": "i"`` events with thread scope;
-* counters become one trailing ``"ph": "C"`` sample per counter, so
-  totals are visible on the timeline.
+* counters — the tracer's and, when given, a process
+  :class:`~repro.obs.counters.Counters` snapshot (a daemon's or a
+  batch run's) — become one trailing ``"ph": "C"`` sample per
+  counter, so totals are visible on the timeline.
 
 ``validate_chrome_trace`` is the schema check used by the
 ``trace-smoke`` Make target and ``tests/test_obs.py``; it validates
@@ -20,7 +22,7 @@ events), and JSON-serializability.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.tracer import Span, Tracer
 
@@ -42,8 +44,13 @@ def _span_events(span: Span, origin: float, pid: int, tid: int,
 
 def to_chrome_trace(tracer: Tracer, pid: int = 1, tid: int = 1,
                     extra_events: Optional[Sequence[dict]] = None,
-                    lane_per_root: bool = False) -> dict:
+                    lane_per_root: bool = False,
+                    counters: Optional[Mapping[str, int]] = None) -> dict:
     """Export a tracer's spans/events/counters as a Chrome trace dict.
+
+    ``counters`` (a :meth:`Counters.snapshot
+    <repro.obs.counters.Counters.snapshot>`) adds the owning daemon's
+    or batch run's process counters to the ``"C"`` samples.
 
     ``lane_per_root`` gives every root span its own thread lane
     (tid = root index + 1) with a thread_name taken from the span's
@@ -83,11 +90,13 @@ def to_chrome_trace(tracer: Tracer, pid: int = 1, tid: int = 1,
     for record in trace_events:
         end_ts = max(end_ts,
                      record.get("ts", 0) + record.get("dur", 0))
-    for name in sorted(tracer.counters):
+    samples = dict(tracer.counters)
+    samples.update(counters or {})
+    for name in sorted(samples):
         trace_events.append({
             "name": name, "ph": "C", "cat": "counter",
             "ts": round(end_ts, 3), "pid": pid, "tid": tid,
-            "args": {"value": tracer.counters[name]}})
+            "args": {"value": samples[name]}})
     if extra_events:
         trace_events.extend(extra_events)
     return {"traceEvents": trace_events,
@@ -96,11 +105,15 @@ def to_chrome_trace(tracer: Tracer, pid: int = 1, tid: int = 1,
 
 
 def records_to_chrome_trace(records: Sequence[dict],
-                            tracer: Optional[Tracer] = None) -> dict:
+                            tracer: Optional[Tracer] = None,
+                            counters: Optional[Mapping[str, int]] = None
+                            ) -> dict:
     """Corpus-level trace from engine unit records: each unit becomes
     a lane of per-phase complete events laid out on a synthetic serial
     timeline (records carry durations, not absolute timestamps).  A
-    parent-side tracer's spans, when given, ride along on pid 0."""
+    parent-side tracer's spans, when given, ride along on pid 0, with
+    the run's ``counters`` (``CorpusReport.counters``) as its ``"C"``
+    samples."""
     trace_events: List[dict] = [{
         "name": "process_name", "ph": "M", "pid": 1, "tid": 1,
         "ts": 0, "args": {"name": f"{_PROCESS_NAME}-batch"}}]
@@ -126,7 +139,8 @@ def records_to_chrome_trace(records: Sequence[dict],
             offset += duration
         cursor = max(offset, unit_start) + 1e-6
     if tracer is not None and tracer.enabled:
-        parent = to_chrome_trace(tracer, pid=0, tid=0)
+        parent = to_chrome_trace(tracer, pid=0, tid=0,
+                                 counters=counters)
         trace_events.extend(parent["traceEvents"])
     return {"traceEvents": trace_events,
             "displayTimeUnit": "ms",

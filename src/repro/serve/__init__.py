@@ -44,8 +44,11 @@ sub-second repeat latency, built for interactive variability tooling:
   :class:`HttpTransport` (``http://`` endpoints); served parses
   satisfy the same structural Result protocol as local ones, and
   transport failures retry under bounded seeded backoff before
-  answering ``status="unavailable"``.  (:class:`ServeClient` remains
-  as a deprecated alias of the socket transport.)
+  answering ``status="unavailable"``.
+
+One :class:`repro.obs.Counters` registry per daemon
+(``ServerState.counters``) holds every counter these components keep;
+the ``stats`` op is its snapshot.
 
 Typical use::
 
@@ -62,9 +65,8 @@ Typical use::
 
 from repro.serve.admission import AdmissionQueue, Deadline, QueueClosed
 from repro.serve.client import (HttpTransport, RemoteSession,
-                                ServeClient, ServeError,
-                                SocketTransport, Transport, connect,
-                                make_transport, parse_endpoint)
+                                ServeError, SocketTransport, Transport,
+                                connect, make_transport, parse_endpoint)
 from repro.serve.http import HttpFrontend
 from repro.serve.incremental import file_token_digest, token_fingerprint
 from repro.serve.journal import ParseJournal
@@ -85,7 +87,7 @@ __all__ = [
     "PROTOCOL_VERSION", "ParseEntry", "ParseJournal", "ParseRequest",
     "ParseServer", "ParseService", "PingRequest", "PoolConfig",
     "ProtocolError", "QueueClosed", "Request", "RemoteSession",
-    "STATUS_SHED", "STATUS_UNAVAILABLE", "ServeClient", "ServeError",
+    "STATUS_SHED", "STATUS_UNAVAILABLE", "ServeError",
     "ServerState", "ShutdownRequest", "SocketTransport", "StatsRequest",
     "TIER_DISK", "TIER_MEMORY", "TIER_TOKEN", "Transport", "Worker",
     "WorkerPool", "connect", "decode_request", "file_token_digest",

@@ -20,9 +20,10 @@ module bounds the damage:
   out, so a ``shutdown`` request can be enqueued *behind* in-flight
   work and answered only once the queue is empty (graceful drain).
 
-Every decision is observable: ``serve.shed`` counts rejections, and
-the queue depth at each admission lands in the ``serve.queue_depth``
-histogram.
+Every decision is observable: the daemon's counters registry counts
+admissions (``submitted``) and rejections (``shed``), and with a
+tracer the queue depth at each admission lands in the
+``serve.queue_depth`` histogram.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import time
 from collections import deque
 from typing import Any, Iterator, Optional
 
+from repro.obs.counters import Counters
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -115,15 +117,16 @@ class AdmissionQueue:
     traffic is never shed by the very overload it is meant to resolve.
     """
 
-    def __init__(self, max_depth: int = 64, tracer: Any = None):
+    def __init__(self, max_depth: int = 64, tracer: Any = None,
+                 counters: Optional[Counters] = None):
         self.max_depth = max(0, max_depth)
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.counters = counters if counters is not None else Counters()
+        self.counters.declare("submitted", "shed")
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._draining = False
-        self.submitted = 0
-        self.shed = 0
 
     @property
     def draining(self) -> bool:
@@ -137,18 +140,12 @@ class AdmissionQueue:
         """Admit ``item``; False when it was shed (queue full or
         draining)."""
         with self._not_empty:
-            if self._draining and not priority:
-                self.shed += 1
-                if self.tracer.enabled:
-                    self.tracer.count("serve.shed")
-                return False
-            if not priority and len(self._items) >= self.max_depth:
-                self.shed += 1
-                if self.tracer.enabled:
-                    self.tracer.count("serve.shed")
+            if not priority and (self._draining
+                                 or len(self._items) >= self.max_depth):
+                self.counters.inc("shed")
                 return False
             self._items.append(item)
-            self.submitted += 1
+            self.counters.inc("submitted")
             if self.tracer.enabled:
                 self.tracer.record("serve.queue_depth",
                                    len(self._items))
@@ -185,5 +182,5 @@ class AdmissionQueue:
         with self._not_empty:
             self._draining = True
             self._items.append(item)
-            self.submitted += 1
+            self.counters.inc("submitted")
             self._not_empty.notify_all()

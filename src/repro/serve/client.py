@@ -33,10 +33,6 @@ raising a raw transport error, so callers (and the CLI) handle a down
 daemon the same way they handle a shed or timed-out request.  Every op
 in the protocol is idempotent, so a resend after a torn connection is
 safe.
-
-:class:`ServeClient` — the PR 6 socket client — remains as a
-deprecated alias of :class:`SocketTransport`; new code should call
-:func:`connect` (also exported as ``repro.api.connect``).
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ import http.client
 import json
 import socket
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.engine.results import UnitResult
@@ -378,21 +373,6 @@ class HttpTransport(Transport):
         return payload
 
 
-class ServeClient(SocketTransport):
-    """Deprecated socket client, kept as a behavior-identical alias of
-    :class:`SocketTransport`.  New code should call
-    ``repro.api.connect("unix:/path" | "tcp:host:port" |
-    "http://host:port")`` for a :class:`RemoteSession`."""
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        warnings.warn(
-            "ServeClient is deprecated; use repro.api.connect("
-            "'unix:/path' | 'tcp:host:port' | 'http://host:port') "
-            "to open a RemoteSession",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)
-
-
 # -- endpoint URLs -----------------------------------------------------
 
 
@@ -541,7 +521,7 @@ def connect(url: str, **options: Any) -> RemoteSession:
 
 
 __all__ = [
-    "DEFAULT_TIMEOUT", "HttpTransport", "RemoteSession", "ServeClient",
-    "ServeError", "SocketTransport", "STATUS_UNAVAILABLE", "Transport",
-    "connect", "make_transport", "parse_endpoint",
+    "DEFAULT_TIMEOUT", "HttpTransport", "RemoteSession", "ServeError",
+    "SocketTransport", "STATUS_UNAVAILABLE", "Transport", "connect",
+    "make_transport", "parse_endpoint",
 ]

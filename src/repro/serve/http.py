@@ -40,12 +40,15 @@ Framing is Content-Length on both sides and connections are keep-alive
 (HTTP/1.1 default), so one client connection can serve many requests
 — the warm-cache point of the daemon survives the transport.
 
-Observability: ``serve.http.requests`` / ``serve.http.errors``
-counters (the per-request ``serve.request`` spans come from the shared
-service layer).  Chaos: the ``http.send`` site fires before every
-response; an armed ``torn-body`` fault truncates the response mid-body
-and drops the connection, ``drop-conn`` closes the socket before any
-byte — both heal through the HTTP client's reconnect-and-resend.
+Observability: ``http.requests`` (every routed request) and
+``http.errors`` (every reply with a 4xx/5xx code) count into the
+daemon's :class:`repro.obs.Counters`, beside the shared service
+layer's counts and per-request ``serve.request`` spans.
+
+Chaos: the ``http.send`` site fires before every response; an armed
+``torn-body`` fault truncates the response mid-body and drops the
+connection, ``drop-conn`` closes the socket before any byte — both
+heal through the HTTP client's reconnect-and-resend.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro import chaos
-from repro.obs.tracer import NULL_TRACER
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
 
@@ -118,7 +120,7 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.frontend
 
     def log_message(self, format: str, *args: Any) -> None:
-        # Quiet by default; the obs counters and spans carry the story.
+        # Quiet by default; the counters and spans carry the story.
         pass
 
     def _read_body(self) -> Optional[dict]:
@@ -153,8 +155,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_op(self, method: str) -> None:
         frontend = self.frontend
-        if frontend.tracer.enabled:
-            frontend.tracer.count("serve.http.requests")
+        frontend.counters.inc("http.requests")
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         op = ROUTES.get((method, path))
         if op is None:
@@ -200,14 +201,12 @@ class _Handler(BaseHTTPRequestHandler):
     # -- response writing ----------------------------------------------
 
     def _send_error_envelope(self, code: int, message: str) -> None:
-        if self.frontend.tracer.enabled:
-            self.frontend.tracer.count("serve.http.errors")
         self._send_json(code, protocol.error_reply(None, None, message))
 
     def _send_json(self, code: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
-        if code >= 400 and self.frontend.tracer.enabled:
-            self.frontend.tracer.count("serve.http.errors")
+        if code >= 400:
+            self.frontend.counters.inc("http.errors")
         try:
             if chaos.ACTIVE is not None:
                 # "drop-conn" closes the socket under us right here;
@@ -245,9 +244,10 @@ class HttpFrontend:
     admission queue for every request."""
 
     def __init__(self, server: Any, host: str = "127.0.0.1",
-                 port: int = 0, tracer: Any = None):
+                 port: int = 0):
         self.server = server
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.counters = server.counters
+        self.counters.declare("http.requests", "http.errors")
         self._requested = (host, port)
         self._httpd: Optional[_HttpServer] = None
         self._thread: Optional[threading.Thread] = None

@@ -21,8 +21,9 @@ Design points:
   journal intact.
 * **Per-record validation.**  A torn final line (the process died
   mid-append) or a corrupted record is discarded *individually* —
-  counted by ``serve.journal.discard`` — and every other line still
-  resumes.  So is a line in an older format (a ``closure`` path list
+  counted as ``journal.discarded`` in the daemon's counters registry,
+  beside ``journal.writes`` and ``journal.compactions`` — and every
+  other line still resumes.  So is a line in an older format (a ``closure`` path list
   without digests): it cannot say whether its files changed, so it
   is never resumed.  A journal must never take down the daemon it
   exists to protect.
@@ -40,21 +41,20 @@ from typing import Dict, Mapping, Optional
 
 from repro import chaos
 from repro.engine.cache import is_read_set
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.counters import Counters
 
 
 class ParseJournal:
     """JSON-lines journal of per-unit warm-entry metadata."""
 
-    def __init__(self, path: str, tracer: object = None):
+    def __init__(self, path: str, counters: Optional[Counters] = None):
         self.path = path
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.counters = counters if counters is not None else Counters()
+        self.counters.declare("journal.writes", "journal.discarded",
+                              "journal.compactions")
         self._lock = threading.Lock()
         self._entries: Dict[str, dict] = {}
         self._appends = 0
-        self.discarded = 0
-        self.writes = 0
-        self.compactions = 0
 
     # -- load ----------------------------------------------------------
 
@@ -78,8 +78,8 @@ class ParseJournal:
 
     def load(self) -> Dict[str, dict]:
         """Validated entries from disk, newest line per unit winning.
-        Corrupt or torn lines are discarded individually (counted by
-        ``serve.journal.discard``), never raised."""
+        Corrupt or torn lines are discarded individually (counted as
+        ``journal.discarded``), never raised."""
         try:
             with open(self.path, "rb") as handle:
                 data = handle.read()
@@ -95,9 +95,7 @@ class ParseJournal:
             except (ValueError, UnicodeDecodeError):
                 meta = None
             if meta is None:
-                self.discarded += 1
-                if self.tracer.enabled:
-                    self.tracer.count("serve.journal.discard")
+                self.counters.inc("journal.discarded")
                 continue
             entries[meta["unit"]] = meta
         with self._lock:
@@ -123,7 +121,7 @@ class ParseJournal:
                             exist_ok=True)
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(json.dumps(meta) + "\n")
-                self.writes += 1
+                self.counters.inc("journal.writes")
             except OSError:
                 return
             if self._appends > 4 * len(self._entries) + 64:
@@ -143,18 +141,9 @@ class ParseJournal:
                     handle.write(json.dumps(meta) + "\n")
             os.replace(tmp, self.path)
             self._appends = len(self._entries)
-            self.compactions += 1
+            self.counters.inc("journal.compactions")
         except OSError:
             try:
                 os.remove(tmp)
             except OSError:
                 pass
-
-    # -- introspection -------------------------------------------------
-
-    def stats(self) -> dict:
-        with self._lock:
-            entries = len(self._entries)
-        return {"path": self.path, "entries": entries,
-                "writes": self.writes, "discarded": self.discarded,
-                "compactions": self.compactions}

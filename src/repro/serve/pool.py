@@ -34,9 +34,11 @@ each parse into a supervised child process:
   warm session — instead of fork-looping or dying.  After a cooldown
   the breaker half-opens and the pool re-probes forking.
 
-Observability: ``serve.worker.{spawn,crash,restart,recycle}``,
-``serve.breaker.trip``, and ``serve.pool.inline`` counters, plus a
-``stats()`` block surfaced by the daemon's ``stats`` op.
+Observability: the pool counts ``pool.{spawns,crashes,restarts,
+recycles,timeouts,inline_parses}`` and ``pool.breaker.trips`` into its
+owner's :class:`repro.obs.Counters` (the daemon's or the batch run's),
+and :meth:`WorkerPool.population` gives the ``stats`` op its
+``alive``/``idle`` gauges.
 
 Chaos: the supervisor fires the ``pool.request`` hook on every
 dispatched wire request; an armed ``worker-crash``/``worker-hang``
@@ -61,7 +63,7 @@ from repro import chaos
 from repro.engine.results import (STATUS_CRASHED, STATUS_ERROR,
                                   STATUS_TIMEOUT, error_record)
 from repro.engine.scheduler import CrashLoopBreaker, backoff_delay
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.counters import Counters
 from repro.serve import protocol
 from repro.serve.admission import Deadline
 
@@ -258,10 +260,14 @@ class WorkerPool:
     """
 
     def __init__(self, state: Any, config: Optional[PoolConfig] = None,
-                 tracer: Any = None):
+                 counters: Optional[Counters] = None):
         self.state = state
         self.config = config if config is not None else PoolConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.counters = counters if counters is not None else Counters()
+        self.counters.declare(
+            "pool.spawns", "pool.crashes", "pool.restarts",
+            "pool.recycles", "pool.timeouts", "pool.inline_parses",
+            "pool.breaker.trips")
         self.breaker = CrashLoopBreaker(self.config.breaker_threshold)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -273,12 +279,6 @@ class WorkerPool:
         self._supervisor: Optional[threading.Thread] = None
         self._tripped_at = 0.0
         self._restart_streak = 0
-        self.spawns = 0
-        self.crashes = 0
-        self.restarts = 0
-        self.recycles = 0
-        self.timeouts = 0
-        self.inline_parses = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -361,9 +361,7 @@ class WorkerPool:
                 os._exit(0)
         os.close(req_r)
         os.close(res_w)
-        self.spawns += 1
-        if self.tracer.enabled:
-            self.tracer.count("serve.worker.spawn")
+        self.counters.inc("pool.spawns")
         return Worker(pid, rfd=res_r, wfd=req_w)
 
     def _reap(self, worker: Worker) -> None:
@@ -392,9 +390,7 @@ class WorkerPool:
         worker = self._spawn()
         if worker is None:
             return None
-        self.restarts += 1
-        if self.tracer.enabled:
-            self.tracer.count("serve.worker.restart")
+        self.counters.inc("pool.restarts")
         with self._cond:
             if self._closed:
                 pass
@@ -408,16 +404,13 @@ class WorkerPool:
 
     def _on_worker_death(self, worker: Worker) -> None:
         """Bookkeeping for a worker that died serving a request."""
-        self.crashes += 1
-        if self.tracer.enabled:
-            self.tracer.count("serve.worker.crash")
+        self.counters.inc("pool.crashes")
         self._reap(worker)
         if self.breaker.failure():
             # This death tripped the breaker: degrade to inline mode
             # instead of fork-looping.
             self._tripped_at = time.monotonic()
-            if self.tracer.enabled:
-                self.tracer.count("serve.breaker.trip")
+            self.counters.inc("pool.breaker.trips")
         if not self.breaker.tripped and not self._closed:
             self._restart_one()
 
@@ -445,9 +438,7 @@ class WorkerPool:
                 if not self._healthy(worker):
                     self._on_worker_death(worker)
                 elif self._worn(worker):
-                    self.recycles += 1
-                    if self.tracer.enabled:
-                        self.tracer.count("serve.worker.recycle")
+                    self.counters.inc("pool.recycles")
                     self._reap(worker)
                     self._restart_streak = 0
                     self._restart_one()
@@ -551,7 +542,7 @@ class WorkerPool:
             self._checkin(worker)
             return outcome, record
         if outcome == "timeout":
-            self.timeouts += 1
+            self.counters.inc("pool.timeouts")
         else:
             record = error_record(unit, STATUS_ERROR,
                                   f"worker pid {worker.pid} died "
@@ -617,9 +608,7 @@ class WorkerPool:
         """Degraded mode: one parse at a time on the parent's warm
         session (the PR 6 behavior, kept as the floor the pool can
         never fall below)."""
-        self.inline_parses += 1
-        if self.tracer.enabled:
-            self.tracer.count("serve.pool.inline")
+        self.counters.inc("pool.inline_parses")
         with self._inline_lock:
             try:
                 return self.state._parse_inline(unit, text)
@@ -628,24 +617,7 @@ class WorkerPool:
 
     # -- introspection -------------------------------------------------
 
-    def stats(self) -> dict:
+    def population(self) -> Tuple[int, int]:
+        """(alive, idle) workers right now."""
         with self._cond:
-            alive = len(self._workers)
-            idle = len(self._idle)
-        return {
-            "size": self.config.size,
-            "alive": alive,
-            "idle": idle,
-            "spawns": self.spawns,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "recycles": self.recycles,
-            "timeouts": self.timeouts,
-            "inline_parses": self.inline_parses,
-            "breaker": {
-                "tripped": self.breaker.tripped,
-                "trips": self.breaker.trips,
-                "consecutive": self.breaker.consecutive,
-                "threshold": self.breaker.threshold,
-            },
-        }
+            return len(self._workers), len(self._idle)

@@ -49,10 +49,16 @@ SIGALRM :func:`repro.serve.admission.attempt_deadline`.  Off the main
 thread (e.g. tests embedding the server in a thread) deadlines degrade
 to admission-time expiry checks.
 
-Every request is observable: a ``serve.request`` span per request
-(lane-per-request in the Chrome export), ``serve.requests`` /
-``serve.cache.hit`` / ``serve.cache.miss`` / ``serve.shed`` counters,
-and the ``serve.queue_depth`` histogram.
+Every request is observable.  Counts live in the state's one
+:class:`repro.obs.Counters` registry (``ServerState.counters``), which
+every component here counts into — ``requests``, ``cache_hits`` /
+``cache_misses``, ``invalidated``, ``submitted`` / ``shed``,
+``deadline_expired``, ``http.*``, ``pool.*``, ``journal.*``,
+``result_cache.*`` — and the ``stats`` op renders as its snapshot plus
+a few gauges read at call time.  A tracer adds a ``serve.request``
+span per request (lane-per-request in the Chrome export, whose
+``"C"`` samples are the same registry) and the ``serve.queue_depth``
+histogram.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro import chaos
 from repro.api import Config
 from repro.engine import DEFAULT_OPTIMIZATION
+from repro.obs.counters import nest
 from repro.obs.tracer import NULL_TRACER
 from repro.serve import protocol
 from repro.serve.admission import (AdmissionQueue, Deadline,
@@ -94,10 +101,10 @@ class ParseService:
     def __init__(self, state: ServerState, tracer: Any = None):
         self.state = state
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.counters = state.counters
+        self.counters.declare("requests", "cache_hits", "cache_misses",
+                              "invalidated")
         self.pool: Optional[WorkerPool] = None
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
         self.started = time.monotonic()
         # The one dispatch table: protocol request type -> handler.
         self._handlers: Dict[type, Callable[..., dict]] = {
@@ -116,10 +123,10 @@ class ParseService:
             try:
                 request = protocol.decode_request(request)
             except ProtocolError as exc:
-                self._count_request()
+                self.counters.inc("requests")
                 return protocol.error_reply(exc.request_id, exc.op,
                                             str(exc))
-        self._count_request()
+        self.counters.inc("requests")
         handler = self._handlers[type(request)]
         try:
             if isinstance(request, ParseRequest):
@@ -132,11 +139,6 @@ class ParseService:
         except Exception as exc:  # confine: a bad request never kills
             return protocol.error_reply(request.id, request.op,
                                         repr(exc))
-
-    def _count_request(self) -> None:
-        self.requests += 1
-        if self.tracer.enabled:
-            self.tracer.count("serve.requests")
 
     # -- ops -----------------------------------------------------------
 
@@ -169,15 +171,11 @@ class ParseService:
             if not request.fresh:
                 record, tier = state.lookup(unit, key)
             if record is not None:
-                self.hits += 1
-                if self.tracer.enabled:
-                    self.tracer.count("serve.cache.hit")
+                self.counters.inc("cache_hits")
                 record = dict(record)
                 record["cache"] = "hit"
             else:
-                self.misses += 1
-                if self.tracer.enabled:
-                    self.tracer.count("serve.cache.miss")
+                self.counters.inc("cache_misses")
                 record = dict(state.parse(unit, text, key,
                                           deadline=deadline))
                 record["cache"] = "miss"
@@ -189,22 +187,35 @@ class ParseService:
         with self.tracer.span("serve.request", op="invalidate",
                               path=request.path):
             dropped = self.state.invalidate(request.path, request.text)
-            if self.tracer.enabled:
-                self.tracer.count("serve.invalidated", len(dropped))
+        self.counters.inc("invalidated", len(dropped))
         return protocol.reply(request.id, request.op, status="ok",
                               invalidated=dropped, count=len(dropped))
 
     def _op_stats(self, request: StatsRequest) -> dict:
-        stats = {
-            "protocol": PROTOCOL_VERSION,
-            "uptime_seconds": round(time.monotonic() - self.started, 3),
-            "requests": self.requests,
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-        }
-        stats.update(self.state.stats())
-        stats["pool"] = (None if self.pool is None
-                         else self.pool.stats())
+        """The counters registry's snapshot, nested on ``.``, plus the
+        gauges read now.  A component that is off (result cache,
+        journal, pool) reports ``null``."""
+        state = self.state
+        stats = nest(self.counters.snapshot())
+        for part in ("result_cache", "journal", "pool"):
+            stats.setdefault(part, None)
+        stats.update(protocol=PROTOCOL_VERSION,
+                     uptime_seconds=round(time.monotonic()
+                                          - self.started, 3),
+                     fingerprint=state.fingerprint,
+                     optimization=state.optimization,
+                     units_warm=state.units_warm(),
+                     files_known=len(state.files.known_files()))
+        if state.result_cache is not None:
+            stats["result_cache"]["directory"] = \
+                state.result_cache.directory
+        if state.journal is not None:
+            stats["journal"]["path"] = state.journal.path
+        if self.pool is not None:
+            alive, idle = self.pool.population()
+            stats["pool"].update(alive=alive, idle=idle)
+            stats["pool"]["breaker"]["tripped"] = \
+                self.pool.breaker.tripped
         return protocol.reply(request.id, request.op, status="ok",
                               stats=stats)
 
@@ -344,12 +355,14 @@ class ParseServer:
             state = ServerState(config, optimization=optimization,
                                 cache_dir=cache_dir,
                                 use_result_cache=use_result_cache,
-                                tracer=tracer,
                                 **config_overrides)
         self.state = state
+        self.counters = state.counters
+        self.counters.declare("deadline_expired")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.service = ParseService(state, tracer=self.tracer)
-        self.queue = AdmissionQueue(max_queue, tracer=self.tracer)
+        self.queue = AdmissionQueue(max_queue, tracer=self.tracer,
+                                    counters=self.counters)
         self.deadline_seconds = max(0.0, deadline_seconds)
         # workers > 0 enables the supervised pre-forked pool: parses
         # run in child processes, supervisor-enforced deadlines replace
@@ -423,7 +436,7 @@ class ParseServer:
         if self.pool_config is None or self.pool is not None:
             return
         self.pool = WorkerPool(self.state, self.pool_config,
-                               tracer=self.tracer).start()
+                               counters=self.counters).start()
         self.state.executor = self.pool.execute
         self.service.pool = self.pool
 
@@ -433,8 +446,7 @@ class ParseServer:
             return
         from repro.serve.http import HttpFrontend
         self.http = HttpFrontend(self, host=self._http_host,
-                                 port=self._http_port,
-                                 tracer=self.tracer).start()
+                                 port=self._http_port).start()
 
     def _start_acceptor(self) -> None:
         if self._listener is None:
@@ -656,8 +668,7 @@ class ParseServer:
             # Spent its whole budget waiting: answer timeout without
             # doing the work (the engine's deadline semantics, applied
             # to queue wait).
-            if self.tracer.enabled:
-                self.tracer.count("serve.deadline.expired")
+            self.counters.inc("deadline_expired")
             queued.connection.send(protocol.timeout_reply(
                 request.id, request.op,
                 f"deadline of {deadline.seconds:.3g}s "
@@ -690,7 +701,7 @@ class ParseServer:
     def _finish_drain(self, queued: _QueuedRequest) -> None:
         # Everything admitted before the shutdown has been served (the
         # queue is FIFO and shutdown was submitted after begin_drain).
-        self.drained = self.service.requests
+        self.drained = self.counters.snapshot()["requests"]
         response = self.service.handle(queued.request)
         response["drained"] = self.drained
         response["serve"] = {"queue_seconds":

@@ -33,6 +33,13 @@ Lookup resolution order for a ``parse`` request:
    record is re-published in memory under the new key without
    re-parsing;
 4. miss — parse with the warm session, publish to memory + disk.
+
+**Counters.**  The state owns the daemon's one
+:class:`repro.obs.Counters` registry: every serve component (service,
+admission queue, worker pool, journal, HTTP frontend, result cache)
+counts into ``ServerState.counters``, and the ``stats`` op is its
+snapshot.  The state itself counts ``parses`` (fresh parses),
+``token_short_circuits`` (tier-3 answers) and ``journal.resumed``.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from repro.engine import DEFAULT_OPTIMIZATION
 from repro.engine.cache import (ResultCache, config_fingerprint,
                                 include_closure_digest, result_key)
 from repro.engine.results import record_from_result
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.counters import Counters
 from repro.parser.fmlr import OPTIMIZATION_LEVELS
 from repro.serve.incremental import token_fingerprint
 from repro.serve.journal import ParseJournal
@@ -163,7 +170,6 @@ class ServerState:
                  optimization: str = DEFAULT_OPTIMIZATION,
                  cache_dir: Optional[str] = None,
                  use_result_cache: bool = True,
-                 tracer: object = None,
                  use_journal: bool = True,
                  **overrides: Any):
         if config is None:
@@ -176,7 +182,8 @@ class ServerState:
             config = config.replace(
                 options=OPTIMIZATION_LEVELS[optimization])
         self.optimization = optimization
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.counters = Counters()
+        self.counters.declare("parses", "token_short_circuits")
         self.files = FileStore(config.resolved_fs())
         # One warm Session: tables built once, reused by every request.
         # The session reads through the fingerprinting store so request
@@ -187,12 +194,10 @@ class ServerState:
             list(config.include_paths), config.builtins,
             config.extra_definitions, optimization)
         self.result_cache = (ResultCache(cache_dir, self.fingerprint,
-                                         tracer=self.tracer)
+                                         self.counters)
                              if use_result_cache else None)
         self.entries: Dict[str, ParseEntry] = {}
         self._lock = threading.Lock()
-        self.parses = 0
-        self.token_short_circuits = 0
         # Installed by ParseServer when a worker pool is active: a
         # callable (unit, text, overlay files, deadline) -> record that
         # runs the parse out of process.  None -> parse inline.
@@ -201,11 +206,10 @@ class ServerState:
         # fingerprint directory (which clear() leaves alone — it only
         # removes *.json), so journal and records travel together.
         self.journal: Optional[ParseJournal] = None
-        self.journal_resumed = 0
         if use_journal and self.result_cache is not None:
             self.journal = ParseJournal(
                 os.path.join(self.result_cache.directory, JOURNAL_NAME),
-                tracer=self.tracer)
+                self.counters)
             self._resume_from_journal()
 
     def _resume_from_journal(self) -> None:
@@ -221,9 +225,7 @@ class ServerState:
             for unit, meta in entries.items():
                 self.entries[unit] = ParseEntry(
                     meta["key"], None, meta["reads"], meta["token_fp"])
-                self.journal_resumed += 1
-                if self.tracer.enabled:
-                    self.tracer.count("serve.journal.resume")
+        self.counters.inc("journal.resumed", len(entries))
 
     def reset_after_fork(self) -> None:
         """Make inherited state safe inside a freshly forked worker.
@@ -234,6 +236,7 @@ class ServerState:
         result cache, so both are detached."""
         self._lock = threading.Lock()
         self.files._lock = threading.Lock()
+        self.counters._lock = threading.Lock()
         self.journal = None
         self.result_cache = None
         self.executor = None
@@ -279,7 +282,7 @@ class ServerState:
                     if blob is not None and blob["reads"] == entry.reads:
                         record = blob["record"]
                 if record is not None:
-                    self.token_short_circuits += 1
+                    self.counters.inc("token_short_circuits")
                     # Re-publish under the new key with the read-set's
                     # current digests, so the next request hits tier 1.
                     # The disk keeps the blob of the last real parse,
@@ -310,7 +313,7 @@ class ServerState:
         else:
             record = self._parse_inline(unit, text)
         reads = record.pop("reads", None)
-        self.parses += 1
+        self.counters.inc("parses")
         if reads is None or record.get("status") in UNCACHEABLE_STATUSES:
             return record
         fp = token_fingerprint(self.files.read, unit, reads)
@@ -380,25 +383,7 @@ class ServerState:
                                     entry.token_fp)
         return sorted(unit for unit, _entry in demoted)
 
-    # -- introspection -------------------------------------------------
-
-    def stats(self) -> dict:
-        cache = self.result_cache
+    def units_warm(self) -> int:
+        """Warm entries (a gauge for the ``stats`` op)."""
         with self._lock:
-            units = len(self.entries)
-        return {
-            "fingerprint": self.fingerprint,
-            "optimization": self.optimization,
-            "units_warm": units,
-            "parses": self.parses,
-            "token_short_circuits": self.token_short_circuits,
-            "result_cache": (None if cache is None else
-                             {"hits": cache.hits,
-                              "misses": cache.misses,
-                              "corrupt": cache.corrupt,
-                              "directory": cache.directory}),
-            "journal": (None if self.journal is None else
-                        dict(self.journal.stats(),
-                             resumed=self.journal_resumed)),
-            "files_known": len(self.files.known_files()),
-        }
+            return len(self.entries)

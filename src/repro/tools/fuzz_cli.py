@@ -122,8 +122,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs import records_to_chrome_trace, \
             write_chrome_trace
         write_chrome_trace(args.trace,
-                           records_to_chrome_trace(report.records,
-                                                   tracer=tracer))
+                           records_to_chrome_trace(
+                               report.records, tracer=tracer,
+                               counters=report.counters))
         print(f"trace written to {args.trace}", file=sys.stderr)
     if args.json:
         payload = report.summary()

@@ -20,9 +20,6 @@ daemon)::
     python -m repro.tools.serve_cli --connect http://127.0.0.1:7480 \\
         --invalidate include/major.h --stats --shutdown
 
-(``--socket PATH`` and ``--port N`` remain as deprecated spellings of
-``unix:`` and ``tcp:`` endpoints; they warn and keep working.)
-
 Smoke mode (``--smoke FILE``) runs the whole serve contract
 in-process over a real Unix socket: warm-hit on the second identical
 request, reverse-invalidation on a header edit, ``status=shed`` under
@@ -60,7 +57,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine import DEFAULT_OPTIMIZATION
@@ -84,14 +80,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           dest="connect_url",
                           help="client endpoint: unix:PATH, "
                                "tcp:HOST:PORT, or http://HOST:PORT")
-    endpoint.add_argument("--socket", metavar="PATH",
-                          help="deprecated spelling of "
-                               "--listen/--connect unix:PATH")
-    endpoint.add_argument("--host", default="127.0.0.1",
-                          help="TCP bind/connect host (with --port)")
-    endpoint.add_argument("--port", type=int, metavar="N",
-                          help="deprecated spelling of "
-                               "--listen/--connect tcp:HOST:N")
     server = parser.add_argument_group("server")
     server.add_argument("-I", "--include", action="append",
                         default=[], metavar="DIR",
@@ -160,35 +148,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_deprecated_flag(flag: str, replacement: str) -> None:
-    warnings.warn(f"{flag} is deprecated; use {replacement}",
-                  DeprecationWarning, stacklevel=3)
-
-
-def _legacy_endpoint(args) -> Optional[str]:
-    """Endpoint URL from the deprecated --socket/--port flags (with a
-    DeprecationWarning), or None when neither was given."""
-    if args.socket is not None:
-        _warn_deprecated_flag(
-            "--socket", "--listen/--connect unix:PATH")
-        return f"unix:{args.socket}"
-    if args.port is not None:
-        _warn_deprecated_flag(
-            "--port", "--listen/--connect tcp:HOST:PORT")
-        return f"tcp:{args.host}:{args.port}"
-    return None
-
-
 def _resolve_listeners(args) -> Dict[str, Tuple]:
     """Map listener kind -> parsed endpoint for server mode.  Raises
     ValueError on an unparseable URL or duplicate/conflicting kinds."""
     from repro.serve import parse_endpoint
-    urls = list(args.listen)
-    legacy = _legacy_endpoint(args)
-    if legacy is not None:
-        urls.append(legacy)
     listeners: Dict[str, Tuple] = {}
-    for url in urls:
+    for url in args.listen:
         endpoint = parse_endpoint(url)
         kind = endpoint[0]
         if kind in listeners:
@@ -211,11 +176,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_chaos_smoke(args)
     client_mode = bool(args.parse_paths or args.invalidate_paths
                        or args.stats or args.shutdown)
-    if not (args.listen or args.connect_url or args.socket is not None
-            or args.port is not None):
+    if not (args.listen or args.connect_url):
         print("error: need --listen URL (server) or --connect URL "
-              "(client); legacy --socket PATH / --port N also work",
-              file=sys.stderr)
+              "(client)", file=sys.stderr)
         return 2
     if client_mode:
         return run_client(args)
@@ -274,7 +237,9 @@ def run_server(args) -> int:
     if args.trace:
         from repro.obs import write_chrome_trace, to_chrome_trace
         write_chrome_trace(args.trace,
-                           to_chrome_trace(tracer, lane_per_root=True))
+                           to_chrome_trace(
+                               tracer, lane_per_root=True,
+                               counters=server.counters.snapshot()))
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
 
@@ -285,7 +250,7 @@ def run_client(args) -> int:
         print("error: --listen is a server flag; clients take "
               "--connect", file=sys.stderr)
         return 2
-    url = args.connect_url or _legacy_endpoint(args)
+    url = args.connect_url
     failures = 0
 
     def down(response: dict) -> bool:
@@ -395,7 +360,7 @@ def run_smoke(args) -> int:
                    "warm hit is not slower than the cold parse")
             stats = session.stats()
             expect(stats["cache_hits"] >= 1,
-                   "serve.cache.hit counter advanced")
+                   "cache_hits counter advanced")
 
             if header:
                 # Overlay edit: changed header content, so the units

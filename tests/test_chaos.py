@@ -15,7 +15,6 @@ from repro.engine import (STATUS_DEGRADED, STATUS_ERROR, STATUS_OK,
                           STATUS_TIMEOUT, BatchEngine, CorpusJob,
                           CrashLoopBreaker, EngineConfig, MetricsStream)
 from repro.engine.cache import ResultCache
-from repro.obs import Tracer
 from repro.serve import Deadline, ParseJournal, PoolConfig, ServerState
 from repro.serve.pool import WorkerPool
 
@@ -32,6 +31,11 @@ def make_state(tmp_path, **kwargs):
     return ServerState(
         Config(files=dict(FILES), include_paths=INCLUDE_PATHS),
         **kwargs)
+
+
+def counter(owner, name):
+    """One value of the counters registry ``owner`` counts into."""
+    return owner.counters.snapshot()[name]
 
 
 def parse_unit(state, unit):
@@ -132,24 +136,23 @@ class TestFaultPlan:
 
 
 class TestResultCacheCorruption:
-    def make_cache(self, tmp_path, tracer=None):
-        return ResultCache(str(tmp_path / "cache"), "fp", tracer=tracer)
+    def make_cache(self, tmp_path):
+        return ResultCache(str(tmp_path / "cache"), "fp")
 
     def test_truncated_blob_is_a_miss_and_deleted(self, tmp_path):
-        tracer = Tracer()
-        cache = self.make_cache(tmp_path, tracer=tracer)
+        cache = self.make_cache(tmp_path)
         cache.put("k", {}, {"status": "ok"})
         # Hand-truncate the blob mid-JSON (a crashed writer).
         path = cache._path("k")
         with open(path, "r+b") as handle:
             handle.truncate(5)
         assert cache.get("k") is None
-        assert cache.corrupt == 1
+        assert counter(cache, "result_cache.corrupt") == 1
         assert not os.path.exists(path), "bad blob must be quarantined"
-        assert tracer.counters["engine.result_cache.corrupt"] == 1
+        assert counter(cache, "result_cache.misses") == 1
         # Subsequent reads are plain misses, not repeat corruption.
         assert cache.get("k") is None
-        assert cache.corrupt == 1
+        assert counter(cache, "result_cache.corrupt") == 1
 
     def test_non_dict_blob_is_a_miss(self, tmp_path):
         cache = self.make_cache(tmp_path)
@@ -157,7 +160,7 @@ class TestResultCacheCorruption:
         with open(cache._path("k"), "w") as handle:
             handle.write('["not", "a", "record"]')
         assert cache.get("k") is None
-        assert cache.corrupt == 1
+        assert counter(cache, "result_cache.corrupt") == 1
 
     def test_binary_garbage_is_a_miss(self, tmp_path):
         cache = self.make_cache(tmp_path)
@@ -165,13 +168,13 @@ class TestResultCacheCorruption:
         with open(cache._path("k"), "wb") as handle:
             handle.write(b"\xff\xfe\x00garbage")
         assert cache.get("k") is None
-        assert cache.corrupt == 1
+        assert counter(cache, "result_cache.corrupt") == 1
 
     def test_intact_records_still_hit(self, tmp_path):
         cache = self.make_cache(tmp_path)
         cache.put("k", {}, {"status": "ok"})
         assert cache.get("k")["record"] == {"status": "ok"}
-        assert cache.corrupt == 0
+        assert counter(cache, "result_cache.corrupt") == 0
 
 
 # -- the journal -------------------------------------------------------
@@ -200,24 +203,22 @@ class TestParseJournal:
             handle.write("\n[1, 2, 3]\n")         # wrong shape
             handle.write('{"unit": 5, "key": "x", "reads": {},'
                          ' "token_fp": null}\n')  # wrong types
-        tracer = Tracer()
-        loaded = ParseJournal(path, tracer=tracer)
+        loaded = ParseJournal(path)
         entries = loaded.load()
         assert set(entries) == {"a.c", "b.c"}
-        assert loaded.discarded == 3
-        assert tracer.counters["serve.journal.discard"] == 3
+        assert counter(loaded, "journal.discarded") == 3
 
     def test_missing_file_loads_empty(self, tmp_path):
         journal = ParseJournal(str(tmp_path / "nope.jsonl"))
         assert journal.load() == {}
-        assert journal.discarded == 0
+        assert counter(journal, "journal.discarded") == 0
 
     def test_compaction_preserves_live_entries(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = ParseJournal(path)
         for round_number in range(200):
             journal.append("a.c", f"key{round_number}", {}, "fp")
-        assert journal.compactions >= 1
+        assert counter(journal, "journal.compactions") >= 1
         with open(path) as handle:
             lines = [line for line in handle if line.strip()]
         assert len(lines) < 200
@@ -243,13 +244,11 @@ class TestJournalResume:
         # Same cache dir, fresh process-worth of state: the journal
         # must bring back the entry metadata and the first lookup must
         # short-circuit from disk, not re-parse.
-        tracer = Tracer()
-        resumed = make_state(tmp_path, tracer=tracer)
-        assert resumed.journal_resumed == 1
-        assert tracer.counters["serve.journal.resume"] == 1
+        resumed = make_state(tmp_path)
+        assert counter(resumed, "journal.resumed") == 1
         record, tier = parse_unit(resumed, "a.c")
         assert tier == "disk"
-        assert resumed.parses == 0
+        assert counter(resumed, "parses") == 0
 
     def test_restart_resumes_token_tier(self, tmp_path):
         state = make_state(tmp_path)
@@ -262,7 +261,7 @@ class TestJournalResume:
         resumed.files.put("b.c", "int   b /* layout */ = 2;\n")
         record, tier = parse_unit(resumed, "b.c")
         assert tier == "token"
-        assert resumed.parses == 0
+        assert counter(resumed, "parses") == 0
         assert record["status"] == "ok"
 
     def test_no_journal_when_cache_disabled(self, tmp_path):
@@ -278,11 +277,10 @@ class TestJournalResume:
             handle.write(json.dumps({"unit": "a.c", "key": "k",
                                      "closure": ["a.c"],
                                      "token_fp": "fp"}) + "\n")
-        tracer = Tracer()
-        resumed = make_state(tmp_path, tracer=tracer)
-        assert resumed.journal_resumed == 0
+        resumed = make_state(tmp_path)
+        assert counter(resumed, "journal.resumed") == 0
         assert "a.c" not in resumed.entries
-        assert tracer.counters["serve.journal.discard"] == 1
+        assert counter(resumed, "journal.discarded") == 1
 
     def test_invalidation_demotion_survives_restart(self, tmp_path):
         state = make_state(tmp_path)
@@ -301,7 +299,8 @@ class TestJournalResume:
 def make_pool(state, **kwargs):
     kwargs.setdefault("size", 1)
     kwargs.setdefault("heartbeat_seconds", 0.1)
-    pool = WorkerPool(state, PoolConfig(**kwargs))
+    pool = WorkerPool(state, PoolConfig(**kwargs),
+                      counters=state.counters)
     pool.start()
     state.executor = pool.execute
     return pool
@@ -315,7 +314,7 @@ class TestWorkerPool:
             record, _tier = parse_unit(state, "a.c")
             assert record["status"] == "ok"
             assert record["unit"] == "a.c"
-            assert pool.spawns >= 1
+            assert counter(pool, "pool.spawns") >= 1
         finally:
             pool.close()
 
@@ -329,8 +328,8 @@ class TestWorkerPool:
                 record, _tier = parse_unit(state, "a.c")
             assert record["status"] == "ok", \
                 "the crashed request must be retried on a fresh worker"
-            assert pool.crashes == 1
-            assert pool.restarts >= 1
+            assert counter(pool, "pool.crashes") == 1
+            assert counter(pool, "pool.restarts") >= 1
             assert plan.fired("worker-crash") == 1
         finally:
             pool.close()
@@ -370,10 +369,8 @@ class TestWorkerPool:
             assert record["status"] == "ok", \
                 "breaker-degraded mode still answers (inline)"
             assert pool.breaker.tripped
-            assert pool.inline_parses >= 1
-            stats = pool.stats()
-            assert stats["breaker"]["tripped"]
-            assert stats["breaker"]["trips"] == 1
+            assert counter(pool, "pool.inline_parses") >= 1
+            assert counter(pool, "pool.breaker.trips") == 1
         finally:
             pool.close()
 
@@ -385,9 +382,10 @@ class TestWorkerPool:
             record, _tier = parse_unit(state, "b.c")
             assert record["status"] == "ok"
             deadline = Deadline(5.0)
-            while pool.recycles == 0 and not deadline.expired():
+            while counter(pool, "pool.recycles") == 0 \
+                    and not deadline.expired():
                 time.sleep(0.02)
-            assert pool.recycles >= 1
+            assert counter(pool, "pool.recycles") >= 1
             # The replacement still serves.
             text = state.files.read("b.c")
             key = state.unit_key("b.c", text)

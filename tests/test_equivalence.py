@@ -122,7 +122,8 @@ def test_every_path_and_tier_agrees(daemons, reference, tmp_path):
                 assert strip(hit) == reference[unit], (name, unit)
         for unit in units:
             state, answer = restarted(files, daemon.cache_dir, unit)
-            assert state.journal_resumed == len(units)
+            assert state.counters.snapshot()["journal.resumed"] \
+                == len(units)
             assert answer["tier"] == "disk"
             assert strip(answer) == reference[unit], (name, unit)
     # Token tier, live: a layout-only edit to a header every unit reads.

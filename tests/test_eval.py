@@ -161,8 +161,13 @@ class TestFigures9And10:
         assert typechef.total > superc.total
 
     def test_gcc_like_fastest(self, corpus):
-        superc = measure_superc(corpus)
-        gcc = measure_gcc_like(corpus)
+        # Best of three interleaved passes per side, so one pass slowed
+        # by a competing process cannot decide the comparison.
+        runs = [(measure_superc(corpus), measure_gcc_like(corpus))
+                for _ in range(3)]
+        superc = min((pair[0] for pair in runs),
+                     key=lambda dist: dist.total)
+        gcc = min((pair[1] for pair in runs), key=lambda dist: dist.total)
         assert gcc.total < superc.total
         assert len(gcc.samples) == len(corpus.units)
 

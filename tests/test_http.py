@@ -15,7 +15,7 @@ from repro import chaos
 from repro.api import Config, Session, is_result
 from repro.engine.scheduler import CrashLoopBreaker
 from repro.serve import (HttpTransport, ParseServer, ProtocolError,
-                         RemoteSession, ServeClient, SocketTransport,
+                         RemoteSession, SocketTransport,
                          connect, parse_endpoint)
 from repro.serve import protocol
 from repro.serve.http import ROUTES
@@ -362,28 +362,6 @@ class TestHttpChaos:
 
 
 class TestDeprecationShims:
-    def test_serve_client_warns_and_works(self, server):
-        with pytest.warns(DeprecationWarning, match="connect"):
-            client = ServeClient(socket_path=server.socket_path)
-        with client:
-            assert client.parse("a.c").ok
-        assert isinstance(client, SocketTransport)
-
-    def test_cli_socket_flag_warns(self, server, capsys):
-        with pytest.warns(DeprecationWarning, match="--listen"):
-            rc = serve_cli.main(["--socket", server.socket_path,
-                                 "--stats"])
-        assert rc == 0
-        assert "requests" in capsys.readouterr().out
-
-    def test_cli_port_flag_warns(self, tmp_path):
-        # No server: the deprecated flag still routes to the client
-        # path, which answers a structured failure (exit 1, no raise).
-        with pytest.warns(DeprecationWarning, match="--listen"):
-            rc = serve_cli.main(["--port", "1", "--host", "127.0.0.1",
-                                 "--stats"])
-        assert rc == 1
-
     def test_remote_session_is_the_undeprecated_path(self, server):
         import warnings as warnings_module
         with warnings_module.catch_warnings():
@@ -396,7 +374,7 @@ class TestCliListen:
     def test_usage_error_mentions_both_spellings(self, capsys):
         assert serve_cli.main([]) == 2
         err = capsys.readouterr().err
-        assert "--listen" in err and "--socket" in err
+        assert "--listen" in err and "--connect" in err
 
     def test_conflicting_listeners_rejected(self, capsys):
         rc = serve_cli.main(["--listen", "unix:/tmp/a.sock",

@@ -3,7 +3,6 @@ public API (``repro.api``)."""
 
 import json
 import sys
-import warnings
 
 import pytest
 
@@ -368,19 +367,6 @@ class TestUnifiedApi:
         assert set(summary["timing"]) == {"lex", "preprocess", "parse",
                                           "total"}
         assert summary["profile"] is None
-
-    def test_deprecated_timing_shims_warn(self):
-        from repro.baselines.gcc_like import GccLike
-        from repro.cpp import DictFileSystem
-        result = GccLike(DictFileSystem({})).compile_source("int x;\n")
-        with pytest.warns(DeprecationWarning, match="timing.parse"):
-            assert result.parse_seconds == result.timing.parse
-        with pytest.warns(DeprecationWarning, match="timing.total"):
-            assert result.total_seconds == result.timing.total
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _ = result.timing.total  # the new name is warning-free
-
 
 class TestCliIntegration:
     @pytest.fixture()

@@ -17,8 +17,8 @@ from repro.engine.scheduler import backoff_delay
 from repro.serve import (AdmissionQueue, Deadline, FileStore,
                          ParseServer, ParseService,
                          PoolConfig, QueueClosed, STATUS_SHED,
-                         STATUS_UNAVAILABLE, ServeClient, ServeError,
-                         ServerState, TIER_DISK, TIER_MEMORY,
+                         STATUS_UNAVAILABLE, ServeError, ServerState,
+                         SocketTransport, TIER_DISK, TIER_MEMORY,
                          TIER_TOKEN, file_token_digest,
                          token_fingerprint)
 from repro.serve.admission import DeadlineExceeded, attempt_deadline
@@ -43,6 +43,11 @@ def make_state(tmp_path, files=None, **kwargs):
         Config(files=dict(files or FILES),
                include_paths=INCLUDE_PATHS),
         **kwargs)
+
+
+def counter(owner, name):
+    """One value of the counters registry ``owner`` counts into."""
+    return owner.counters.snapshot()[name]
 
 
 def parse_unit(state, unit):
@@ -146,7 +151,7 @@ class TestAdmission:
         queue = AdmissionQueue(max_depth=2)
         assert queue.submit("a") and queue.submit("b")
         assert not queue.submit("c")
-        assert queue.shed == 1
+        assert counter(queue, "shed") == 1
         assert queue.pop(0.01) == "a"
         assert queue.submit("c")  # a slot freed up
         assert queue.pop(0.01) == "b"
@@ -210,7 +215,7 @@ class TestServerState:
         assert tier is None and record["status"] == "ok"
         record, tier = parse_unit(state, "a.c")
         assert tier == TIER_MEMORY
-        assert state.parses == 1
+        assert counter(state, "parses") == 1
 
     def test_disk_hit_across_restart(self, tmp_path):
         state = make_state(tmp_path)
@@ -218,7 +223,7 @@ class TestServerState:
         reborn = make_state(tmp_path)
         record, tier = parse_unit(reborn, "a.c")
         assert tier == TIER_DISK
-        assert reborn.parses == 0
+        assert counter(reborn, "parses") == 0
 
     def test_layout_only_edit_token_short_circuits(self, tmp_path):
         state = make_state(tmp_path)
@@ -227,7 +232,7 @@ class TestServerState:
                          text="#define SHARED 1  /* new comment */\n")
         record, tier = parse_unit(state, "a.c")
         assert tier == TIER_TOKEN
-        assert state.parses == 1
+        assert counter(state, "parses") == 1
         assert record["status"] == first["status"]
         # The re-published key now answers from memory directly.
         _record, tier = parse_unit(state, "a.c")
@@ -240,13 +245,13 @@ class TestServerState:
                          text="#define SHARED 42\n")
         _record, tier = parse_unit(state, "a.c")
         assert tier is None
-        assert state.parses == 2
+        assert counter(state, "parses") == 2
 
     def test_invalidate_drops_exactly_the_dependents(self, tmp_path):
         state = make_state(tmp_path)
         for unit in UNITS:
             parse_unit(state, unit)
-        assert state.parses == 3
+        assert counter(state, "parses") == 3
         dropped = state.invalidate("include/shared.h",
                                    text="#define SHARED 9\n")
         assert dropped == ["a.c", "b.c"]
@@ -256,7 +261,7 @@ class TestServerState:
         for unit in ("a.c", "b.c"):
             _record, tier = parse_unit(state, unit)
             assert tier is None, unit
-        assert state.parses == 5
+        assert counter(state, "parses") == 5
 
     def test_second_level_header_only_hits_its_chain(self, tmp_path):
         state = make_state(tmp_path)
@@ -286,7 +291,7 @@ class TestServerState:
         for unit in UNITS:
             _record, tier = parse_unit(state, unit)
             assert tier == TIER_DISK, unit
-        assert state.parses == 0
+        assert counter(state, "parses") == 0
 
     def test_unknown_optimization_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -295,7 +300,7 @@ class TestServerState:
     def test_stats_shape(self, tmp_path):
         state = make_state(tmp_path)
         parse_unit(state, "a.c")
-        stats = state.stats()
+        stats = ParseService(state).handle({"op": "stats"})["stats"]
         assert stats["units_warm"] == 1
         assert stats["parses"] == 1
         assert stats["result_cache"]["misses"] >= 1
@@ -324,7 +329,7 @@ class TestParseService:
         response = service.handle({"op": "parse", "path": "a.c"})
         assert response["cache"] == "hit"
         assert response["tier"] == TIER_MEMORY
-        assert service.hits == 1
+        assert counter(service, "cache_hits") == 1
 
     def test_fresh_bypasses_the_caches(self, tmp_path):
         service = self.service(tmp_path)
@@ -372,9 +377,9 @@ class TestParseService:
         service = ParseService(make_state(tmp_path), tracer=tracer)
         service.handle({"op": "parse", "path": "a.c"})
         service.handle({"op": "parse", "path": "a.c"})
-        assert tracer.counters["serve.requests"] == 2
-        assert tracer.counters["serve.cache.miss"] == 1
-        assert tracer.counters["serve.cache.hit"] == 1
+        assert counter(service, "requests") == 2
+        assert counter(service, "cache_misses") == 1
+        assert counter(service, "cache_hits") == 1
         roots = [span.name for span in tracer.roots]
         assert roots == ["serve.request", "serve.request"]
 
@@ -396,7 +401,7 @@ def running_server(tmp_path):
 class TestParseServerEndToEnd:
     def test_parse_hit_invalidate_shutdown(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             assert client.ping()["status"] == "ok"
             first = client.parse("a.c")
             assert first.ok and first.record["cache"] == "miss"
@@ -418,7 +423,7 @@ class TestParseServerEndToEnd:
 
     def test_burst_sheds_beyond_queue_depth(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             client.parse("a.c")  # warm tables before timing matters
             ids = [client.submit("parse", path="a.c", delay=0.4,
                                  fresh=True)]
@@ -433,11 +438,11 @@ class TestParseServerEndToEnd:
                 if response["status"] == STATUS_SHED]
         assert all("queue depth" in response["error"]
                    for response in shed)
-        assert server.queue.shed >= 1
+        assert counter(server.queue, "shed") >= 1
 
     def test_queue_expired_deadline_times_out(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             slow = client.submit("parse", path="a.c", delay=0.4)
             doomed = client.submit("parse", path="b.c", deadline=0.05)
             responses = client.drain([slow, doomed])
@@ -453,7 +458,7 @@ class TestParseServerEndToEnd:
             socket_path=sock, max_queue=16,
             cache_dir=str(tmp_path / "cache")).start()
         try:
-            with ServeClient(socket_path=sock) as client:
+            with SocketTransport(socket_path=sock) as client:
                 ids = [client.submit("parse", path=unit)
                        for unit in UNITS]
                 shutdown_id = client.submit("shutdown")
@@ -468,7 +473,7 @@ class TestParseServerEndToEnd:
 
     def test_requests_after_shutdown_are_shed(self, running_server):
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             slow = client.submit("parse", path="a.c", delay=0.3)
             shutdown_id = client.submit("shutdown")
             late = client.submit("parse", path="b.c")
@@ -485,7 +490,7 @@ class TestParseServerEndToEnd:
             port=0, cache_dir=str(tmp_path / "cache")).start()
         try:
             host, port = server.address
-            with ServeClient(host=host, port=port) as client:
+            with SocketTransport(host=host, port=port) as client:
                 assert client.parse("c.c").ok
                 assert client.shutdown()["status"] == "ok"
             assert server.wait(10.0)
@@ -493,7 +498,7 @@ class TestParseServerEndToEnd:
             server.close()
 
     def test_connect_failure_raises_serve_error(self, tmp_path):
-        client = ServeClient(socket_path=str(tmp_path / "nope.sock"))
+        client = SocketTransport(socket_path=str(tmp_path / "nope.sock"))
         with pytest.raises(ServeError):
             client.connect()
 
@@ -581,8 +586,8 @@ class TestAdmissionRaces:
         flat_accepted = [item for items in accepted for item in items]
         assert sorted(popped) == sorted(flat_accepted), \
             "served set must be exactly the accepted set"
-        assert queue.shed == sum(shed)
-        assert queue.submitted == len(flat_accepted)
+        assert counter(queue, "shed") == sum(shed)
+        assert counter(queue, "submitted") == len(flat_accepted)
         # FIFO per producer: each producer's surviving sequence
         # numbers come out in submission order.
         for index in range(self.PRODUCERS):
@@ -595,9 +600,9 @@ class TestAdmissionRaces:
         answered ``timeout`` without being parsed (the Deadline starts
         at admission, not at pop)."""
         server, sock = running_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             client.parse("a.c")  # warm up so delay dominates
-            baseline = server.state.parses
+            baseline = counter(server.state, "parses")
             slow = client.submit("parse", path="a.c", delay=0.4,
                                  fresh=True)
             doomed = client.submit("parse", path="b.c", deadline=0.05)
@@ -606,13 +611,13 @@ class TestAdmissionRaces:
         assert responses[1]["status"] == "timeout"
         assert "in queue" in responses[1]["error"], \
             "the timeout must be attributed to queue wait"
-        assert server.state.parses == baseline + 1, \
+        assert counter(server.state, "parses") == baseline + 1, \
             "the expired request must not have been parsed"
 
 
 class TestClientRetry:
     def test_unavailable_after_retry_budget(self, tmp_path):
-        client = ServeClient(socket_path=str(tmp_path / "nope.sock"),
+        client = SocketTransport(socket_path=str(tmp_path / "nope.sock"),
                              retries=2, backoff_base=0.001)
         response = client.request("stats")
         assert response["status"] == STATUS_UNAVAILABLE
@@ -620,7 +625,7 @@ class TestClientRetry:
         assert "cannot connect" in response["error"]
 
     def test_zero_retries_still_structured(self, tmp_path):
-        client = ServeClient(socket_path=str(tmp_path / "nope.sock"),
+        client = SocketTransport(socket_path=str(tmp_path / "nope.sock"),
                              retries=0)
         response = client.request("ping")
         assert response["status"] == STATUS_UNAVAILABLE
@@ -630,8 +635,8 @@ class TestClientRetry:
         kwargs = dict(socket_path=str(tmp_path / "sock"),
                       backoff_base=0.05, backoff_max=0.4,
                       backoff_jitter=0.5, backoff_seed=3)
-        one = ServeClient(**kwargs)
-        two = ServeClient(**kwargs)
+        one = SocketTransport(**kwargs)
+        two = SocketTransport(**kwargs)
         delays = [backoff_delay(one, n) for n in range(1, 6)]
         assert delays == [backoff_delay(two, n) for n in range(1, 6)]
         assert all(delay <= 0.4 * 1.5 for delay in delays), \
@@ -644,7 +649,7 @@ class TestClientRetry:
         server, sock = running_server
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
-            with ServeClient(socket_path=sock,
+            with SocketTransport(socket_path=sock,
                              backoff_base=0.01) as client:
                 assert client.parse("c.c").ok
                 plan.arm("conn.send", "drop-conn")
@@ -681,7 +686,7 @@ class TestPooledServer:
 
     def test_parse_over_pool(self, pooled_server):
         server, sock = pooled_server
-        with ServeClient(socket_path=sock) as client:
+        with SocketTransport(socket_path=sock) as client:
             first = client.parse("a.c")
             assert first.ok and first.record["cache"] == "miss"
             assert is_result(first)
@@ -697,7 +702,7 @@ class TestPooledServer:
         server, sock = pooled_server
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
-            with ServeClient(socket_path=sock) as client:
+            with SocketTransport(socket_path=sock) as client:
                 plan.arm("pool.request", "worker-crash")
                 result = client.parse("b.c", fresh=True)
                 assert result.ok
@@ -713,7 +718,7 @@ class TestPooledServer:
         server, sock = pooled_server
         plan = chaos.FaultPlan()
         with chaos.injected(plan):
-            with ServeClient(socket_path=sock) as client:
+            with SocketTransport(socket_path=sock) as client:
                 plan.arm("pool.request", "worker-hang", seconds=30.0)
                 hung = client.parse("c.c", fresh=True, deadline=0.8)
                 assert hung.record["status"] == "timeout"
@@ -727,11 +732,12 @@ class TestServeCli:
     def test_usage_error_without_endpoint(self, capsys):
         from repro.tools.serve_cli import main
         assert main([]) == 2
-        assert "--socket" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--listen" in err and "--connect" in err
 
     def test_client_mode_connect_failure(self, tmp_path, capsys):
         from repro.tools.serve_cli import main
-        code = main(["--socket", str(tmp_path / "nope.sock"),
+        code = main(["--connect", f"unix:{tmp_path / 'nope.sock'}",
                      "--stats"])
         assert code == 1
         assert "cannot connect" in capsys.readouterr().err
@@ -756,7 +762,7 @@ class TestServeCli:
             cache_dir=str(tmp_path / "cache")).start()
         try:
             from repro.tools.serve_cli import main
-            code = main(["--socket", sock, "--parse", "a.c",
+            code = main(["--connect", f"unix:{sock}", "--parse", "a.c",
                          "--parse", "a.c", "--json", "--shutdown"])
             out = capsys.readouterr().out
             assert code == 0
@@ -788,3 +794,200 @@ class TestServeTraceExport:
                  if event.get("name") == "thread_name"]
         assert any("a.c" in name for name in names)
         assert any("b.c" in name for name in names)
+
+
+def flatten(stats, names):
+    """The ``stats`` body's value at each dotted counter name."""
+    values = {}
+    for name in names:
+        node = stats
+        for part in name.split("."):
+            node = node[part]
+        values[name] = node
+    return values
+
+
+class TestCounterRegistry:
+    """One counter store: ``stats`` over either transport, the Chrome
+    trace and ``Counters.snapshot()`` read the same registry."""
+
+    def test_stats_is_the_registry_on_both_transports(self, tmp_path):
+        import http.client
+        from repro.serve import connect
+        sock = str(tmp_path / "registry.sock")
+        server = ParseServer(
+            config=Config(files=dict(FILES),
+                          include_paths=INCLUDE_PATHS),
+            socket_path=sock, http_port=0, max_queue=1, workers=2,
+            pool_config=PoolConfig(size=2, heartbeat_seconds=60.0),
+            cache_dir=str(tmp_path / "cache")).start()
+        plan = chaos.FaultPlan()
+        try:
+            with SocketTransport(socket_path=sock) as client:
+                fresh = client.stats()
+                assert flatten(fresh, ["cache_hits", "cache_misses",
+                                       "result_cache.hits",
+                                       "result_cache.misses",
+                                       "journal.resumed"]) == {
+                    "cache_hits": 0, "cache_misses": 0,
+                    "result_cache.hits": 0, "result_cache.misses": 0,
+                    "journal.resumed": 0}
+                assert client.parse("a.c").record["cache"] == "miss"
+                assert client.parse("a.c").record["cache"] == "hit"
+                # Over-depth burst: two dispatchers and one queue slot
+                # leave at least three of these six shed.
+                ids = [client.submit("parse", path="c.c", fresh=True,
+                                     delay=0.3) for _ in range(2)]
+                ids += [client.submit("parse", path="c.c", fresh=True)
+                        for _ in range(4)]
+                burst = client.drain(ids)
+                shed = sum(1 for response in burst
+                           if response["status"] == STATUS_SHED)
+                served = len(burst) - shed
+                assert shed >= 3
+                dropped = client.invalidate("include/shared.h",
+                                            text="#define SHARED 4\n")
+                assert dropped["count"] == 1
+                with chaos.injected(plan):
+                    plan.arm("pool.request", "worker-crash")
+                    assert client.parse("b.c", fresh=True).ok
+                assert plan.fired("worker-crash") == 1
+                host, port = server.http_address
+                raw = http.client.HTTPConnection(host, port, timeout=30)
+                raw.request("GET", "/v1/nope")
+                assert raw.getresponse().status == 404
+                raw.close()
+                via_socket = client.stats()
+            with connect(server.http.url) as session:
+                via_http = session.stats()
+            snapshot = server.counters.snapshot()
+            # The stats reply counts its own request; the HTTP one is
+            # one more service request and one more HTTP request.
+            assert flatten(via_http, snapshot) == snapshot
+            expected_socket = dict(snapshot)
+            expected_socket["requests"] -= 1
+            expected_socket["http.requests"] -= 1
+            assert flatten(via_socket, snapshot) == expected_socket
+            parses = 2 + served      # a.c, b.c and the served burst
+            assert flatten(via_http, [
+                "requests", "cache_hits", "cache_misses", "parses",
+                "submitted", "shed", "invalidated", "deadline_expired",
+                "http.requests", "http.errors", "pool.crashes",
+                "pool.restarts", "pool.spawns", "pool.timeouts",
+                "pool.inline_parses", "pool.breaker.trips",
+                "result_cache.hits", "result_cache.misses",
+                "result_cache.corrupt"]) == {
+                # + the hit, the invalidate and three stats requests
+                "requests": parses + 5, "cache_hits": 1,
+                "cache_misses": parses, "parses": parses,
+                "submitted": parses + 2, "shed": shed,
+                "invalidated": 1, "deadline_expired": 0,
+                "http.requests": 2, "http.errors": 1,
+                "pool.crashes": 1, "pool.restarts": 1,
+                "pool.spawns": 3, "pool.timeouts": 0,
+                "pool.inline_parses": 0, "pool.breaker.trips": 0,
+                "result_cache.hits": 0, "result_cache.misses": 1,
+                "result_cache.corrupt": 0}
+            assert via_http["pool"]["alive"] == 2
+            assert via_http["pool"]["breaker"]["tripped"] is False
+        finally:
+            server.close()
+
+    def test_trace_counter_samples_are_the_final_stats(self, tmp_path):
+        from repro.serve import connect
+        from repro.tools import serve_cli
+        for path, text in FILES.items():
+            os.makedirs(os.path.dirname(str(tmp_path / path)),
+                        exist_ok=True)
+            (tmp_path / path).write_text(text)
+        sock = str(tmp_path / "traced.sock")
+        trace_path = str(tmp_path / "trace.json")
+        daemon = threading.Thread(target=serve_cli.main, args=([
+            "--listen", f"unix:{sock}", "-I", str(tmp_path / "include"),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--trace", trace_path],), daemon=True)
+        daemon.start()
+        deadline = Deadline(30.0)
+        while not os.path.exists(sock) and not deadline.expired():
+            time.sleep(0.02)
+        with connect(f"unix:{sock}") as session:
+            unit = str(tmp_path / "a.c")
+            assert session.parse(unit).record["cache"] == "miss"
+            assert session.parse(unit).record["cache"] == "hit"
+            session.invalidate(str(tmp_path / "include/shared.h"))
+            stats = session.stats()
+            session.shutdown()
+        daemon.join(30.0)
+        assert not daemon.is_alive()
+        with open(trace_path) as handle:
+            trace = json.load(handle)
+        samples = {event["name"]: event["args"]["value"]
+                   for event in trace["traceEvents"]
+                   if event["ph"] == "C"}
+        # The shutdown after the stats reply is one more admitted
+        # request; nothing else moves.
+        expected = flatten(stats, samples)
+        expected["requests"] += 1
+        expected["submitted"] += 1
+        assert samples == expected
+        assert samples["cache_hits"] == 1
+        assert samples["result_cache.misses"] == 1
+
+    def test_concurrent_increments_are_exact(self):
+        from repro.obs import Counters
+        counters = Counters()
+        start = threading.Barrier(8)
+        # Switch threads as often as the interpreter allows, so an
+        # unlocked read-add-store would lose increments.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def bump():
+            start.wait()
+            for _ in range(1000):
+                counters.inc("hits")
+
+        threads = [threading.Thread(target=bump) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert counters.snapshot() == {"hits": 8000}
+
+    def test_reset_after_fork_frees_a_held_lock(self, tmp_path):
+        state = make_state(tmp_path)
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold():
+            with state.counters._lock:
+                held.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10.0)
+        pid = os.fork()
+        if pid == 0:  # the child: its copy of the lock is held forever
+            try:
+                state.reset_after_fork()
+                state.counters.inc("parses")
+                os._exit(0 if counter(state, "parses") == 1 else 1)
+            finally:
+                os._exit(2)
+        release.set()
+        holder.join()
+        deadline = Deadline(10.0)
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if deadline.expired():
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child deadlocked on the counters")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
