@@ -23,9 +23,13 @@ smoke-batch:
 # and require the configuration-preserving pipeline and the
 # single-configuration oracle to agree on every sampled configuration
 # (tokens, errors, parses, ASTs).  Any disagreement is ddmin-shrunk
-# and exits nonzero.
+# and exits nonzero.  The second pass weights conditional typedefs:
+# the oracle's plain LR engine classifies every lookahead afresh, so it
+# checks FMLR's reuse of a classification across reductions.
 fuzz-smoke:
 	$(PY) -m repro.tools.fuzz_cli --seed 0 --units 50 --timeout 60
+	$(PY) -m repro.tools.fuzz_cli --seed 1 --units 20 --timeout 60 \
+	    --weight conditional_typedef=6
 
 # Tier 2: degradation smoke — run the fault-injection suite, then fuzz
 # with the guarded-failure features (conditional #error / missing

@@ -320,9 +320,9 @@ def build_c_grammar() -> Grammar:
     g.rule("LabeledStatement", ["default", ":", "Statement"],
            node_name="DefaultStatement")
 
-    # Scope brackets run semantic actions via the context plug-in; the
-    # engines call on_reduce for every production, so plain productions
-    # with recognizable names suffice.
+    # Scope brackets run semantic actions via the context plug-in, which
+    # observes reductions by left-hand side, so plain productions with
+    # recognizable names suffice.
     g.rule("CompoundStatement", ["ScopePush", "BlockItemList",
                                  "ScopePop"],
            node_name="CompoundStatement")

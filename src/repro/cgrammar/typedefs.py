@@ -12,7 +12,8 @@ callbacks plug into the FMLR engine:
 * ``may_merge`` permits merging only at the same scope nesting level;
 * ``merge_contexts`` unions scopes not already shared.
 
-Declarations update the table from ``on_reduce``: a completed
+Declarations update the table from ``on_reduce``, which observes only
+scope brackets and declarations (``observed_reductions``): a completed
 ``Declaration`` whose specifiers include ``typedef`` registers its
 declarator names as typedef names under the reducing subparser's
 presence condition (the specifiers or declarators may contain static
@@ -119,6 +120,9 @@ class CContext(ParserContext):
                         [False] * len(merged_scopes))
 
     # -- reductions ------------------------------------------------------------
+
+    observed_reductions = frozenset(("ScopePush", "ScopePop",
+                                     "Declaration"))
 
     def on_reduce(self, production: Any, value: Any,
                   condition: Any) -> None:

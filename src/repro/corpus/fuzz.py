@@ -235,6 +235,11 @@ def _conditional_typedef(rng, variables, counter, types) -> List[str]:
         f"typedef int {name};",
         "#endif",
         f"static {name} obj_{n};",
+        # An unconditional alias used at once: its name is the lookahead
+        # of its own typedef's reduction, so the parser must classify it
+        # again after that reduction (the lexer hack).
+        f"typedef {name} fz{n}_alias_t;",
+        f"fz{n}_alias_t alias_{n};",
     ]
 
 

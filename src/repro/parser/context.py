@@ -8,17 +8,32 @@ follow-set, ``fork_context`` duplicates state when subparsers fork, and
 
 The engines additionally call ``on_reduce`` so language plug-ins can
 maintain their state (e.g. the C symbol table) from semantic actions.
+A plug-in names the left-hand sides it observes in
+``observed_reductions``; the engines call ``on_reduce`` for those
+reductions only.  A subclass that overrides ``on_reduce`` without
+declaring the set observes every reduction.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, FrozenSet, List, Optional, Tuple
 
 from repro.lexer.tokens import Token
 
 
 class ParserContext:
     """Default do-nothing context: context-free parsing."""
+
+    # Left-hand sides whose reductions ``on_reduce`` observes; None
+    # means every reduction.  Between observed reductions the context
+    # does not change, so FMLR reuses a lookahead's classification.
+    observed_reductions: Optional[FrozenSet[str]] = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "on_reduce" in vars(cls) \
+                and "observed_reductions" not in vars(cls):
+            cls.observed_reductions = None
 
     def reclassify(self, token: Token, terminal: str,
                    condition: Any) -> List[Tuple[Any, str]]:

@@ -481,6 +481,12 @@ class FMLRParser:
         or hands a step to :meth:`_step` or the Figure 7b partition.
         ``subparser`` is the stepped subparser, or None while the
         locals are ahead of it.
+
+        The lookahead's single classification is kept across reductions.
+        It is recomputed only after a shift, when a new subparser is
+        loaded (a new condition or context), or after a reduction the
+        context observes: a ``Declaration`` may just have made the
+        lookahead a typedef name (the lexer hack).
         """
         options = self.options
         tracer = self.tracer
@@ -497,6 +503,8 @@ class FMLRParser:
                     lead = True
                     cond, node = heads[0]
                     stack, context = subparser.stack, subparser.context
+                    observed = context.observed_reductions
+                    classes = None
             stats.iterations += 1
             live = live_count[0] + 1  # include the one being stepped
             record_count(live)
@@ -518,10 +526,11 @@ class FMLRParser:
                 successors = self._step(subparser, manager, accepted,
                                         failures, stats)
             else:
-                terminal = node.terminal
-                if terminal is None:
-                    terminal = self._base_terminal(node)
-                classes = context.reclassify(node.token, terminal, cond)
+                if classes is None:
+                    terminal = node.terminal
+                    if terminal is None:
+                        terminal = self._base_terminal(node)
+                    classes = context.reclassify(node.token, terminal, cond)
                 if len(classes) == 1:
                     # One classification: a plain LR action, in locals.
                     sub_cond, terminal = classes[0]
@@ -552,11 +561,14 @@ class FMLRParser:
                                 continue
                             succ = heads[0][1]
                         node = succ
+                        classes = None
                     elif action[0] == REDUCE:
                         stack = self._reduce_stack(stack, action[1],
                                                    sub_cond, context)
                         if stack is None:
                             return []
+                        if observed is None or stack.symbol in observed:
+                            classes = None
                     else:  # ACCEPT
                         accepted.append((sub_cond, stack.value))
                         return []
@@ -747,19 +759,28 @@ class FMLRParser:
                       condition: Any, context: ParserContext) \
             -> Optional[_StackNode]:
         """Reduce ``stack`` by one production under ``condition``; None
-        when the tables have no goto (treated as a rejection)."""
-        production = self.tables.grammar.productions[production_index]
-        values = []
-        for _symbol in production.rhs:
-            values.append(stack.value)
+        when the tables have no goto (treated as a rejection).  A unit
+        passthrough re-pushes its child's value without building one;
+        ``on_reduce`` runs only for reductions the context observes."""
+        tables = self.tables
+        lhs, arity, unit, production = tables.reduce_plan[production_index]
+        value = stack.value
+        if unit and value is not None:
             stack = stack.prev
-        values.reverse()
-        value = build_value(production, values, context)
-        context.on_reduce(production, value, condition)
-        goto_state = self.tables.goto[stack.state].get(production.lhs)
+        else:
+            values = []
+            for _ in range(arity):
+                values.append(stack.value)
+                stack = stack.prev
+            values.reverse()
+            value = build_value(production, values, context)
+        observed = context.observed_reductions
+        if observed is None or lhs in observed:
+            context.on_reduce(production, value, condition)
+        goto_state = tables.goto[stack.state].get(lhs)
         if goto_state is None:
             return None
-        return _StackNode(goto_state, production.lhs, value, stack)
+        return _StackNode(goto_state, lhs, value, stack)
 
     def _reduce(self, subparser: Subparser, production_index: int,
                 condition: Any, heads: Tuple[Tuple[Any, TokenNode], ...],

@@ -20,10 +20,12 @@ in ``Tables.conflicts``.
 
 from __future__ import annotations
 
+import functools
 import pickle
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.parser.grammar import AUGMENTED, END, Assoc, Grammar, Production
+from repro.parser.grammar import (AUGMENTED, END, Assoc, Build, Grammar,
+                                  Production)
 
 # On-disk table-blob format (``to_blob``/``from_blob``).  Bump whenever
 # the pickled shape of Tables/Grammar/Production changes so stale cache
@@ -39,6 +41,12 @@ SHIFT = "s"
 REDUCE = "r"
 ACCEPT = "a"
 Action = Tuple
+
+# One production's reduce plan: (left-hand side, arity, unit
+# passthrough, production).  A *unit passthrough* is a one-symbol
+# ``passthrough`` production such as C's ``AssignmentExpression ->
+# ConditionalExpression``: it re-pushes its child's value unchanged.
+ReducePlan = Tuple[str, int, bool, Production]
 
 
 class Conflict:
@@ -79,6 +87,22 @@ class Tables:
     def expected_terminals(self, state: int) -> List[str]:
         """Terminals with any action in ``state`` (for error messages)."""
         return sorted(self.action[state])
+
+    @functools.cached_property
+    def reduce_plan(self) -> List[ReducePlan]:
+        """Per production index, what both LR engines need to reduce by
+        it.  Built on first use and kept on the tables, but never
+        pickled: it is derived, so it stays out of table generation and
+        out of the blob."""
+        return [(production.lhs, len(production.rhs),
+                 production.build is Build.PASSTHROUGH
+                 and len(production.rhs) == 1, production)
+                for production in self.grammar.productions]
+
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        state.pop("reduce_plan", None)
+        return state
 
 
 class TableBlobError(Exception):

@@ -1,9 +1,13 @@
 """A plain table-driven LR parser engine.
 
 This is the single-configuration baseline: it parses one fully
-preprocessed token stream (no static conditionals) with the same tables
-and AST machinery FMLR uses.  The gcc-like baseline (§6.3's performance
-floor) and the per-configuration differential oracle both run on it.
+preprocessed token stream (no static conditionals) with the same tables,
+the same reduce plan (``Tables.reduce_plan``: a unit passthrough
+re-pushes its child's value, and ``on_reduce`` runs only for the
+reductions the context observes) and the same AST machinery as FMLR.
+Unlike FMLR it classifies the lookahead afresh before every action.
+The gcc-like baseline (§6.3's performance floor) and the
+per-configuration differential oracle both run on it.
 """
 
 from __future__ import annotations
@@ -53,18 +57,21 @@ class LRParser:
     def parse(self, tokens: Iterable[Token]) -> Any:
         """Parse and return the start symbol's semantic value."""
         tables = self.tables
-        grammar = tables.grammar
+        plan = tables.reduce_plan
         context = self.context_factory()
+        observed = context.observed_reductions
         # Stack of (state, value); state 0 has no value.
         stack: List[Tuple[int, Any]] = [(0, None)]
         stream = iter(tokens)
         token, exhausted = self._next_token(stream)
         while True:
             state = stack[-1][0]
-            # Classify the lookahead afresh on every action: a reduce
-            # may have just registered a typedef name (the lexer hack
-            # must see symbol-table updates from the current token's
-            # own declaration).
+            # Classify the lookahead afresh on every action, even where
+            # FMLR reuses a classification: a reduce may have just
+            # registered a typedef name (the lexer hack must see
+            # symbol-table updates from the current token's own
+            # declaration), and the differential oracle runs on this
+            # engine to cross-check FMLR's reuse.
             terminal = self._terminal(token, exhausted, context)
             action = tables.action[state].get(terminal)
             if action is None:
@@ -75,18 +82,22 @@ class LRParser:
                 stack.append((action[1], token))
                 token, exhausted = self._next_token(stream)
             elif action[0] == REDUCE:
-                production = grammar.productions[action[1]]
-                count = len(production.rhs)
-                values = [entry[1] for entry in stack[-count:]] \
-                    if count else []
-                if count:
-                    del stack[-count:]
-                value = build_value(production, values, context)
-                context.on_reduce(production, value, self.condition)
-                goto_state = tables.goto[stack[-1][0]].get(production.lhs)
+                lhs, arity, unit, production = plan[action[1]]
+                value = stack[-1][1]
+                if unit and value is not None:
+                    del stack[-1]
+                else:
+                    values = [entry[1] for entry in stack[-arity:]] \
+                        if arity else []
+                    if arity:
+                        del stack[-arity:]
+                    value = build_value(production, values, context)
+                if observed is None or lhs in observed:
+                    context.on_reduce(production, value, self.condition)
+                goto_state = tables.goto[stack[-1][0]].get(lhs)
                 if goto_state is None:
                     raise ParseError(
-                        f"internal: no goto for {production.lhs!r}", token)
+                        f"internal: no goto for {lhs!r}", token)
                 stack.append((goto_state, value))
             else:  # ACCEPT
                 return stack[-1][1]

@@ -74,6 +74,10 @@ _MAX_FRAME = 64 * 1024 * 1024
 # from real faults in waitpid status, same supervision path).
 CHAOS_EXIT = 66
 
+# Forks one restart tries before it leaves the replacement to the next
+# heartbeat (a failed fork is usually transient: EAGAIN, ENOMEM).
+SPAWN_ATTEMPTS = 3
+
 
 # -- pipe framing ------------------------------------------------------
 
@@ -382,12 +386,22 @@ class WorkerPool:
                 pass
 
     def _restart_one(self) -> Optional[Worker]:
-        """Backoff + fork one replacement and make it available."""
-        self._restart_streak += 1
-        delay = backoff_delay(self.config, self._restart_streak)
-        if delay > 0:
-            time.sleep(delay)
-        worker = self._spawn()
+        """Backoff + fork one replacement and make it available.
+
+        A failed fork (EAGAIN or ENOMEM under load) is retried after
+        the next backoff step, up to ``SPAWN_ATTEMPTS`` forks in all.
+        Otherwise a request whose worker crashed would be answered
+        while the pool is one worker short and ``pool.restarts`` is
+        unchanged, until a later heartbeat makes up the population."""
+        worker = None
+        for _ in range(SPAWN_ATTEMPTS):
+            self._restart_streak += 1
+            delay = backoff_delay(self.config, self._restart_streak)
+            if delay > 0:
+                time.sleep(delay)
+            worker = self._spawn()
+            if worker is not None:
+                break
         if worker is None:
             return None
         self.counters.inc("pool.restarts")

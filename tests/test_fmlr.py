@@ -15,7 +15,8 @@ import pytest
 from repro.errors import PHASE_PARSE, PHASE_RESOURCE, ResourceBudget
 from repro.lexer.tokens import Token, TokenKind
 from repro.obs import Tracer
-from repro.parser import Build, Grammar, Node, StaticChoice, generate
+from repro.parser import (Build, Grammar, LRParser, Node, ParseError,
+                          ParserContext, StaticChoice, generate)
 from repro.parser import fmlr
 from repro.parser.ast import project as ast_project
 from repro.parser.fmlr import (FMLROptions, FMLRParser,
@@ -23,7 +24,8 @@ from repro.parser.fmlr import (FMLROptions, FMLRParser,
                                follow_set)
 from repro.parser.stream import BranchNode, TokenNode, build_stream, \
     stream_tokens
-from tests.support import assignment_for, ast_signature, preprocess
+from tests.support import (assignment_for, ast_signature, preprocess,
+                           simple_preprocess)
 
 
 def classify(token):
@@ -665,6 +667,228 @@ class TestFrontRunner:
         ((accepted, _value),) = result.accepted
         assert diagnostic.phase == PHASE_PARSE
         assert diagnostic.condition is ~(failure.condition | accepted)
+
+
+# ---------------------------------------------------------------------------
+# the reduce plan: unit passthroughs and one classification per lookahead
+# ---------------------------------------------------------------------------
+
+OBSERVED_BY_C = {"ScopePush", "ScopePop", "Declaration"}
+
+
+def unit_chain_grammar():
+    """Unit passthrough chains over a token (``Term -> IDENT``) and over
+    a layout child (``Skip -> Pad``)."""
+    g = Grammar("Unit")
+    g.rule("Unit", ["Items"], build=Build.PASSTHROUGH)
+    g.rule("Items", ["Items", "Item"], build=Build.LIST)
+    g.rule("Items", ["Item"], build=Build.LIST)
+    g.rule("Item", ["Expr", ";"], node_name="Stmt")
+    g.rule("Item", ["Skip", ";"], node_name="Empty")
+    g.rule("Expr", ["Term"], build=Build.PASSTHROUGH)
+    g.rule("Term", ["IDENT"], build=Build.PASSTHROUGH)
+    g.rule("Skip", ["Pad"], build=Build.PASSTHROUGH)
+    g.rule("Pad", ["~"], build=Build.LAYOUT)
+    g.mark_complete("Item", "Items", "Unit")
+    return generate(g)
+
+
+def parse_with(engine, source, tables, context_factory=ParserContext):
+    """The value of an unconditional ``source`` parsed by FMLR or by the
+    plain LR engine, with one context from ``context_factory``."""
+    if engine == "lr":
+        parser = LRParser(tables, classify, context_factory=context_factory)
+        return parser.parse(simple_preprocess(source))
+    unit = preprocess(source)
+    result = FMLRParser(tables, classify,
+                        context_factory=context_factory).parse(
+        unit.tree, unit.manager, unit.feasible_condition)
+    assert not result.failures
+    return result.value
+
+
+class Recording(ParserContext):
+    """Overrides ``on_reduce`` and declares nothing: sees every
+    reduction."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_reduce(self, production, value, condition):
+        self.seen.append(production.lhs)
+
+
+class ItemsOnly(Recording):
+    observed_reductions = frozenset(["Item"])
+
+
+ENGINES = ["fmlr", "lr"]
+
+
+class TestReducePlan:
+    """Both LR engines reduce through ``Tables.reduce_plan``: a unit
+    passthrough re-pushes its child's value without ``build_value``,
+    ``on_reduce`` runs only for the reductions a context observes, and
+    FMLR reuses a lookahead's classification until a shift, a new
+    subparser or an observed reduction."""
+
+    def test_plan_is_lazy_and_stays_out_of_the_blob(self):
+        from repro.parser.lalr import from_blob, to_blob
+        tables = unit_chain_grammar()
+        assert "reduce_plan" not in vars(tables)
+        plan = tables.reduce_plan
+        assert tables.reduce_plan is plan
+        units = {entry[0] for entry in plan if entry[2]}
+        assert units == {"Unit", "Expr", "Term", "Skip"}
+        assert all(entry[1] == len(entry[3].rhs) for entry in plan)
+        assert "reduce_plan" not in vars(from_blob(to_blob(tables)))
+
+    def test_observed_reductions_declarations(self):
+        from repro.cgrammar import CContext
+        assert ParserContext.observed_reductions == frozenset()
+        assert Recording.observed_reductions is None
+        assert ItemsOnly.observed_reductions == {"Item"}
+        assert CContext.observed_reductions == OBSERVED_BY_C
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_undeclared_plugin_sees_every_reduction(self, engine):
+        seen = {}
+        for kind in (Recording, ItemsOnly):
+            context = kind()
+            parse_with(engine, "x ; ~ ;", unit_chain_grammar(),
+                       lambda: context)
+            seen[kind] = context.seen
+        assert seen[Recording] == ["Term", "Expr", "Item", "Items", "Pad",
+                                   "Skip", "Item", "Items", "Unit"]
+        assert seen[ItemsOnly] == ["Item", "Item"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unit_passthrough_over_layout_child(self, engine):
+        value = parse_with(engine, "x ; ~ ;", unit_chain_grammar())
+        stmt, empty = value
+        assert stmt.name == "Stmt" and stmt.children[0].text == "x"
+        assert empty == Node("Empty", (Node("Skip", ()),
+                                       empty.children[1]))
+        assert empty.children[1].text == ";"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_missing_goto_on_the_fast_path(self, engine):
+        tables = unit_chain_grammar()
+        for row in tables.goto:
+            row.pop("Expr", None)
+        if engine == "lr":
+            with pytest.raises(ParseError, match="no goto for 'Expr'"):
+                parse_with(engine, "x ;", tables)
+        else:
+            unit = preprocess("x ;")
+            result = FMLRParser(tables, classify).parse(
+                unit.tree, unit.manager, unit.feasible_condition)
+            assert not result.accepted and not result.ok
+
+    @staticmethod
+    def c_parse(engine, source, monkeypatch, defines=None):
+        """Parse C ``source``; return the symbol stats and each token's
+        classifications in call order, by text and line."""
+        from repro.bdd import BDDManager
+        from repro.cgrammar import (CContext, SymbolStats, c_tables,
+                                    classify as c_classify,
+                                    make_context_factory)
+        from repro.cpp import DictFileSystem
+        from repro.superc import SuperC
+        seen = {}
+        reclassify = CContext.reclassify
+
+        def recording(self, token, terminal, condition):
+            classes = reclassify(self, token, terminal, condition)
+            seen.setdefault((token.text, token.line), []).append(
+                sorted(name for _cond, name in classes))
+            return classes
+
+        monkeypatch.setattr(CContext, "reclassify", recording)
+        if engine == "lr":
+            stats = SymbolStats()
+            manager = BDDManager()
+            parser = LRParser(c_tables(), c_classify,
+                              context_factory=make_context_factory(
+                                  manager, stats),
+                              condition=manager.true)
+            parser.parse(simple_preprocess(source, defines))
+        else:
+            result = SuperC(DictFileSystem({})).parse_source(source, "t.c")
+            assert result.parse.ok
+            stats = result.symbol_stats
+        return stats, seen
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_lexer_hack_after_declaration_reduce(self, engine,
+                                                 monkeypatch):
+        from repro.cgrammar import IDENTIFIER, TYPEDEF_NAME
+        stats, seen = self.c_parse(engine, "typedef int T;\nT x;\n",
+                                   monkeypatch)
+        assert stats.typedef_names == 1
+        # The second ``T`` is the lookahead of the ``Declaration``
+        # reduce: classified an identifier before it, a typedef name
+        # after it registers ``T``.
+        second = seen[("T", 2)]
+        assert second[0] == [IDENTIFIER]
+        assert second[-1] == [TYPEDEF_NAME]
+        if engine == "fmlr":
+            assert second == [[IDENTIFIER], [TYPEDEF_NAME]]
+
+    def test_ambiguous_typedef_keeps_its_counts(self, monkeypatch):
+        from repro.cgrammar import IDENTIFIER, TYPEDEF_NAME
+        with open(GOLDEN_PATH) as handle:
+            golden = json.load(handle)["typedefs"]["symbols"]
+        stats, seen = self.c_parse("fmlr", GOLDEN_TYPEDEFS, monkeypatch)
+        assert vars(stats) == golden
+        # Each use of ``word_t`` in the body is classified ambiguously
+        # once, then once per branch of Figure 7b's partition.
+        uses = seen[("word_t", 6)]
+        ambiguous = [classes for classes in uses if len(classes) == 2]
+        assert ambiguous == [[IDENTIFIER, TYPEDEF_NAME]] * \
+            golden["ambiguous_names"]
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_typedef_configurations_on_plain_lr(self, wide, monkeypatch):
+        """The oracle's engine, one configuration of ``GOLDEN_TYPEDEFS``
+        at a time: ``word_t`` is never ambiguous there."""
+        from repro.cgrammar import IDENTIFIER, TYPEDEF_NAME
+        defines = {"CONFIG_WIDE": "1"} if wide else None
+        stats, seen = self.c_parse("lr", GOLDEN_TYPEDEFS, monkeypatch,
+                                   defines)
+        assert (stats.typedef_names, stats.ambiguous_names) == \
+            (int(wide), 0)
+        body = {name for classes in seen[("word_t", 6)] for name in classes}
+        assert body == {TYPEDEF_NAME if wide else IDENTIFIER}
+
+    def test_count_gate_on_golden_kernel(self, monkeypatch):
+        """No timing: on the golden kernel, FMLR classifies at most one
+        action lookup in two, and ``CContext.on_reduce`` runs only for
+        the reductions it observes."""
+        from repro.cgrammar import CContext
+        from repro.corpus import KernelSpec, generate_kernel
+        from repro.superc import SuperC
+        reclassify, on_reduce = CContext.reclassify, CContext.on_reduce
+        calls = {"reclassify": 0}
+        reduced = []
+
+        def counted_reclassify(self, *args):
+            calls["reclassify"] += 1
+            return reclassify(self, *args)
+
+        def recorded_on_reduce(self, production, value, condition):
+            reduced.append(production.lhs)
+            return on_reduce(self, production, value, condition)
+
+        monkeypatch.setattr(CContext, "reclassify", counted_reclassify)
+        monkeypatch.setattr(CContext, "on_reduce", recorded_on_reduce)
+        corpus = generate_kernel(KernelSpec(**GOLDEN_KERNEL))
+        superc = SuperC(corpus.filesystem(),
+                        include_paths=corpus.include_paths)
+        lookups = sum(superc.parse_file(unit).parse.stats.action_lookups
+                      for unit in corpus.units)
+        assert calls["reclassify"] <= 0.5 * lookups
+        assert set(reduced) == OBSERVED_BY_C
 
 
 if __name__ == "__main__":

@@ -470,10 +470,12 @@ class TestScheduler:
             CorpusJob(["bad.c"], files={"bad.c": "int x;\n"}))
         idle_pool = WorkerPool(None, pool_config)
         monkeypatch.setattr(idle_pool, "_spawn", lambda: None)
+        # Every fork fails: the restart paces each of its attempts.
         idle_pool._restart_one()
         transport.request("ping")
         assert calls == [(engine_config, 1), (engine_config, 2),
-                         (pool_config, 1),
+                         (pool_config, 1), (pool_config, 2),
+                         (pool_config, 3),
                          (transport, 1), (transport, 2)]
 
     def test_backoff_disabled(self, tmp_path):

@@ -712,6 +712,37 @@ class TestPooledServer:
                 client.shutdown()
         assert server.wait(10.0)
 
+    def test_failed_replacement_fork_is_retried(self, pooled_server,
+                                                monkeypatch):
+        """A transient fork failure while replacing the crashed worker
+        does not leave the pool short when the client is answered."""
+        server, sock = pooled_server
+        fork = os.fork
+        failures = []
+
+        def fork_failing_once_off_the_supervisor():
+            if failures == ["armed"] and threading.current_thread().name \
+                    != "serve-pool-supervisor":
+                failures[0] = "fired"
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_failing_once_off_the_supervisor)
+        plan = chaos.FaultPlan()
+        with chaos.injected(plan):
+            with SocketTransport(socket_path=sock) as client:
+                plan.arm("pool.request", "worker-crash")
+                failures.append("armed")
+                result = client.parse("b.c", fresh=True)
+                assert result.ok
+                stats = client.stats()
+                assert failures == ["fired"]
+                assert stats["pool"]["crashes"] == 1
+                assert stats["pool"]["restarts"] >= 1
+                assert stats["pool"]["alive"] == 2
+                client.shutdown()
+        assert server.wait(10.0)
+
     def test_deadline_enforced_off_main_thread(self, pooled_server):
         """The pool supervisor enforces deadlines with select+SIGKILL,
         so they work on dispatcher threads where SIGALRM cannot."""
