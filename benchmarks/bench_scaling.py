@@ -21,7 +21,7 @@ import time
 from benchmarks.conftest import emit
 from repro.corpus import KernelSpec, generate_kernel
 from repro.engine import BatchEngine, CorpusJob, EngineConfig
-from repro.eval import measure_superc, unit_size_bytes
+from repro.eval import measure_superc
 from repro.obs import NullTracer, Tracer
 from repro.superc import SuperC
 
@@ -41,8 +41,8 @@ def test_scaling_linearity(benchmark):
                               figure6_entries=6).scaled(scale)
             corpus = generate_kernel(spec)
             dist = measure_superc(corpus)
-            total_bytes = sum(unit_size_bytes(corpus, unit)
-                              for unit in corpus.units)
+            total_bytes = sum(sample.size_bytes
+                              for sample in dist.samples)
             rows.append((scale, len(corpus.units), total_bytes,
                          dist.total))
         holder["rows"] = rows

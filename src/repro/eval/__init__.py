@@ -8,12 +8,13 @@ from repro.eval.subparsers import (SubparserDistribution, figure8,
 from repro.eval.usage import (DirectiveCounts, TOOLS_VIEW_ROWS,
                               developers_view, percentiles,
                               tools_view, top_included_headers,
-                              unit_statistics)
+                              unit_read_set, unit_statistics)
 
 __all__ = [
     "DirectiveCounts", "LatencyDistribution", "LatencySample",
     "SubparserDistribution", "TOOLS_VIEW_ROWS", "developers_view",
     "figure8", "measure_gcc_like", "measure_level", "measure_superc",
     "measure_typechef_proxy", "percentiles", "tools_view",
-    "top_included_headers", "unit_size_bytes", "unit_statistics",
+    "top_included_headers", "unit_read_set", "unit_size_bytes",
+    "unit_statistics",
 ]

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-import networkx
-
-from repro.analysis.includes_graph import build_include_graph
 from repro.baselines import FormulaManager, GccLike, allyesconfig
 from repro.cgrammar import c_tables, classify, make_context_factory
 from repro.corpus import KernelCorpus
 from repro.cpp import Preprocessor
+from repro.eval.usage import found_paths, unit_read_set
 from repro.parser.fmlr import FMLRParser
 from repro.superc import SuperC
 
@@ -72,12 +70,14 @@ class LatencyDistribution:
                 for i, seconds in enumerate(ordered)]
 
 
-def unit_size_bytes(corpus: KernelCorpus, unit: str) -> int:
-    """Compilation-unit size: the C file plus the closure of its
-    includes (Figure 10's x axis)."""
-    reached = networkx.descendants(build_include_graph(corpus.files),
-                                   unit)
-    return sum(len(corpus.files[path]) for path in reached | {unit})
+def unit_size_bytes(corpus: KernelCorpus, unit: str,
+                    read_set: Optional[Set[str]] = None) -> int:
+    """Compilation-unit size: the C file plus every file its
+    preprocessor run reads (Figure 10's x axis).  ``read_set``
+    defaults to :func:`unit_read_set`'s."""
+    if read_set is None:
+        read_set = unit_read_set(corpus, unit)
+    return sum(len(corpus.files[path]) for path in read_set | {unit})
 
 
 def measure_superc(corpus: KernelCorpus) -> LatencyDistribution:
@@ -89,7 +89,8 @@ def measure_superc(corpus: KernelCorpus) -> LatencyDistribution:
         result = superc.parse_file(unit)
         timing = result.timing
         samples.append(LatencySample(
-            unit, timing.total, unit_size_bytes(corpus, unit),
+            unit, timing.total,
+            unit_size_bytes(corpus, unit, found_paths(result.reads)),
             lex=timing.lex, preprocess=timing.preprocess,
             parse=timing.parse))
     return LatencyDistribution("SuperC", samples)
@@ -101,6 +102,7 @@ def measure_typechef_proxy(corpus: KernelCorpus) -> LatencyDistribution:
     tables = c_tables()
     samples = []
     for unit in corpus.units:
+        size = unit_size_bytes(corpus, unit)
         manager = FormulaManager()
         preprocessor = Preprocessor(
             fs, include_paths=corpus.include_paths, manager=manager)
@@ -112,8 +114,7 @@ def measure_typechef_proxy(corpus: KernelCorpus) -> LatencyDistribution:
         parser.parse(compilation_unit.tree, manager,
                      compilation_unit.feasible_condition)
         seconds = time.perf_counter() - start
-        samples.append(LatencySample(unit, seconds,
-                                     unit_size_bytes(corpus, unit)))
+        samples.append(LatencySample(unit, seconds, size))
     return LatencyDistribution("TypeChef-proxy", samples)
 
 
@@ -128,11 +129,12 @@ def measure_gcc_like(corpus: KernelCorpus,
                   include_paths=corpus.include_paths, config=chosen)
     samples = []
     for unit in corpus.units:
+        size = unit_size_bytes(corpus, unit)
         start = time.perf_counter()
         result = gcc.compile_file(unit)
         seconds = time.perf_counter() - start
         samples.append(LatencySample(
-            unit, seconds, unit_size_bytes(corpus, unit),
+            unit, seconds, size,
             preprocess=result.timing.preprocess,
             parse=result.timing.parse))
     return LatencyDistribution("gcc-like", samples)

@@ -10,11 +10,11 @@ configuration-preserving preprocessor and parser, reported as
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.includes_graph import (build_include_graph,
-                                           transitive_inclusion_counts)
 from repro.corpus import KernelCorpus
+from repro.cpp import Preprocessor, ReadRecorder
 from repro.parser.ast import Node, StaticChoice
 from repro.superc import SuperC
 
@@ -97,14 +97,52 @@ def developers_view(corpus: KernelCorpus) -> Dict[str, DirectiveCounts]:
             for key, (c, h) in rows.items()}
 
 
-def top_included_headers(corpus: KernelCorpus,
-                         count: int = 5) -> List[Tuple[str, int, float]]:
-    """Table 2b: headers ranked by how many C files (transitively)
-    include them; returns (header, files, percent-of-C-files)."""
-    counts = transitive_inclusion_counts(build_include_graph(corpus.files))
-    c_files = corpus.c_files()
+def found_paths(reads: Dict[str, Optional[str]]) -> Set[str]:
+    """The paths of a read-set that were read; a None digest is a
+    failed search-path probe."""
+    return {path for path, digest in reads.items() if digest is not None}
+
+
+def unit_read_set(corpus: KernelCorpus, unit: str,
+                  include_paths: Optional[Sequence[str]] = None) \
+        -> Set[str]:
+    """Every file one preprocessor run of ``unit`` reads, computed
+    includes resolved (§2.1); no parse.  Raises what the preprocessor
+    raises."""
+    fs = corpus.filesystem()
+    recorder = ReadRecorder(fs)
+    paths = corpus.include_paths if include_paths is None \
+        else include_paths
+    Preprocessor(recorder, include_paths=paths).preprocess(
+        fs.read(unit), unit)
+    return found_paths(recorder.reads)
+
+
+def top_included_headers(
+        corpus: KernelCorpus, count: int = 5,
+        include_paths: Optional[Sequence[str]] = None,
+        on_error: Optional[Callable[[str, Exception], None]] = None) \
+        -> List[Tuple[str, int, float]]:
+    """Table 2b: headers ranked by how many C files' read-sets hold
+    them; returns (header, files, percent-of-C-files).
+
+    A C file that fails to preprocess raises, or, with ``on_error``,
+    is reported to it and left out of the counts and the percentages.
+    """
+    counts: Counter = Counter()
+    counted = 0
+    for c_file in corpus.c_files():
+        try:
+            reads = unit_read_set(corpus, c_file, include_paths)
+        except Exception as error:
+            if on_error is None:
+                raise
+            on_error(c_file, error)
+            continue
+        counted += 1
+        counts.update(path for path in reads if path.endswith(".h"))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    total = len(c_files) or 1
+    total = counted or 1
     return [(header, hits, 100.0 * hits / total)
             for header, hits in ranked[:count]]
 

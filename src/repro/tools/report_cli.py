@@ -15,7 +15,7 @@ import argparse
 import fnmatch
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.corpus import KernelCorpus, KernelSpec
 from repro.eval import (TOOLS_VIEW_ROWS, developers_view, tools_view,
@@ -51,7 +51,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--units", default="*.c", metavar="GLOB",
                         help="glob selecting compilation units")
     parser.add_argument("--skip-tools-view", action="store_true",
-                        help="only the cheap developer's view")
+                        help="skip Table 3's parses (Table 2b still "
+                             "preprocesses every C file)")
     parser.add_argument("--trace", metavar="FILE",
                         help="trace the tool's-view parses with "
                              "repro.obs and write Chrome trace_event "
@@ -73,6 +74,12 @@ def main(argv: Optional[List[str]] = None) -> int:
              if path.endswith(".c")
              and fnmatch.fnmatch(path, args.units)]
     corpus = KernelCorpus(KernelSpec(), files, units, [])
+    include_paths = args.include or ["include", "."]
+    failed: Set[str] = set()
+
+    def skip(unit: str, error: Exception) -> None:
+        failed.add(unit)
+        print(f"  (skipping {unit}: {error})", file=sys.stderr)
 
     dev = developers_view(corpus)
     print("Table 2a: directives vs lines of code")
@@ -86,12 +93,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{label:<22}{row.total:>8}{row.pct_c:>9.0f}%"
               f"{row.pct_headers:>9.0f}%")
     print("\nTable 2b: most frequently included headers")
-    for header, count, pct in top_included_headers(corpus):
+    for header, count, pct in top_included_headers(
+            corpus, include_paths=include_paths, on_error=skip):
         print(f"  {header:<44}{count:>4} C files ({pct:.0f}%)")
 
     if args.skip_tools_view or not units:
         return 0
-    include_paths = args.include or ["include", "."]
     tracer = None
     if args.trace or args.profile:
         from repro.obs import Tracer
@@ -100,11 +107,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     tracer=tracer)
     parseable: List[str] = []
     for unit in units:
+        if unit in failed:
+            continue
         try:
             superc.parse_file(unit)
             parseable.append(unit)
         except Exception as error:
-            print(f"  (skipping {unit}: {error})", file=sys.stderr)
+            skip(unit, error)
     if not parseable:
         print("\n(no unit preprocessed cleanly; tool's view skipped)")
         return 0

@@ -252,6 +252,21 @@ class TestReportCli:
         code = report_cli.main([str(tmp_path)])
         assert code == 2
 
+    def test_table2b_uses_include_paths(self, tmp_path, capsys):
+        # Headers under inc/, reached only through -I inc; broken.c
+        # fails to preprocess and is left out of Table 2b.
+        (tmp_path / "inc").mkdir()
+        (tmp_path / "inc" / "hdr.h").write_text("int shared;\n")
+        (tmp_path / "a.c").write_text("#include <hdr.h>\nint a;\n")
+        (tmp_path / "broken.c").write_text("#include <hdr.h>\n#if (\n")
+        code = report_cli.main([str(tmp_path), "-I", "inc",
+                                "--skip-tools-view"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "inc/hdr.h" in captured.out
+        assert "1 C files (100%)" in captured.out
+        assert "(skipping broken.c:" in captured.err
+
 
 class TestFuzzCli:
     def test_clean_run(self, capsys):

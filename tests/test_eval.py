@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.corpus import KernelSpec, generate_kernel
+from repro.corpus import KernelCorpus, KernelSpec, generate_kernel
 from repro.eval import (developers_view, figure8, measure_gcc_like,
                         measure_level, measure_superc,
                         measure_typechef_proxy, percentiles, tools_view,
@@ -10,12 +10,39 @@ from repro.eval import (developers_view, figure8, measure_gcc_like,
                         unit_statistics)
 from repro.superc import SuperC
 
+# A quoted "local.h" resolves in its includer's directory; base.h is
+# reached by both C files, directly or through other headers.
+FILES = {
+    "drivers/a.c": '#include <top.h>\n#include "local.h"\n',
+    "drivers/b.c": "#include <top.h>\n",
+    "drivers/local.h": "#include <base.h>\n",
+    "include/top.h": "#include <mid.h>\n#include <base.h>\n",
+    "include/mid.h": "#include <base.h>\n",
+    "include/base.h": "int base;\n",
+}
+
 
 @pytest.fixture(scope="module")
 def corpus():
     return generate_kernel(KernelSpec(subsystems=2,
                                       drivers_per_subsystem=2,
                                       figure6_entries=5))
+
+
+@pytest.fixture(scope="module")
+def kernel_2012():
+    """The default 12-unit shape, whose units reach their subsystem's
+    computed-include targets (``<asm/input_32.h>``, ...)."""
+    return generate_kernel(KernelSpec(seed=2012))
+
+
+def read_set_size(corpus, unit):
+    """The unit plus every file SuperC's own parse read."""
+    reads = SuperC(corpus.filesystem(),
+                   include_paths=corpus.include_paths).parse_file(
+                       unit).reads
+    found = {path for path, digest in reads.items() if digest is not None}
+    return found, sum(len(corpus.files[path]) for path in found | {unit})
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +101,22 @@ class TestTable2:
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == len(corpus.c_files())
         assert top[0][2] == 100.0
+
+    def test_transitive_counts(self):
+        corpus = KernelCorpus(KernelSpec(), FILES,
+                              ["drivers/a.c", "drivers/b.c"], [])
+        top = top_included_headers(corpus, count=10)
+        assert top == [("include/base.h", 2, 100.0),
+                       ("include/mid.h", 2, 100.0),
+                       ("include/top.h", 2, 100.0),
+                       ("drivers/local.h", 1, 50.0)]
+
+    def test_counts_computed_include_targets(self, kernel_2012):
+        counts = {name: count for name, count, _pct in
+                  top_included_headers(kernel_2012,
+                                       count=len(kernel_2012.headers()))}
+        for bits in ("32", "64"):
+            assert counts[f"include/asm/input_{bits}.h"] == 3
 
 
 class TestTable3:
@@ -171,10 +214,28 @@ class TestFigures9And10:
         assert gcc.total < superc.total
         assert len(gcc.samples) == len(corpus.units)
 
-    def test_unit_size_includes_headers(self, corpus):
-        unit = corpus.units[0]
-        size = unit_size_bytes(corpus, unit)
-        assert size > len(corpus.files[unit])
+    def test_unit_size_includes_headers(self, kernel_2012):
+        # Every file the preprocessor reads counts, the computed
+        # includes' targets among them.
+        for unit in kernel_2012.units:
+            found, size = read_set_size(kernel_2012, unit)
+            subsystem = unit.split("/")[1]
+            assert {f"include/asm/{subsystem}_32.h",
+                    f"include/asm/{subsystem}_64.h"} <= found
+            assert unit_size_bytes(kernel_2012, unit) == size
+            assert size > len(kernel_2012.files[unit])
+
+    def test_distributions_share_unit_sizes(self):
+        # Figure 9 plots all three tools against the same x value.
+        small = generate_kernel(KernelSpec(
+            subsystems=1, drivers_per_subsystem=2, figure6_entries=3))
+        expected = {unit: read_set_size(small, unit)[1]
+                    for unit in small.units}
+        for measure in (measure_superc, measure_gcc_like,
+                        measure_typechef_proxy):
+            sizes = {sample.unit: sample.size_bytes
+                     for sample in measure(small).samples}
+            assert sizes == expected, measure.__name__
 
     def test_cdf_shape(self, corpus):
         dist = measure_superc(corpus)

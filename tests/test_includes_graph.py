@@ -1,79 +1,21 @@
-"""Tests for include-dependency graph analytics."""
+"""Tests for the corpus's include structure, as the preprocessor's
+read-sets see it (Table 2b counts headers per C file)."""
 
-import pytest
-
-from repro.analysis.includes_graph import (build_include_graph,
-                                           include_cycles,
-                                           longest_chain,
-                                           preprocessing_fanout,
-                                           redundant_direct_includes,
-                                           transitive_inclusion_counts)
 from repro.corpus import KernelSpec, generate_kernel
-
-FILES = {
-    "drivers/a.c": '#include <top.h>\n#include "local.h"\n',
-    "drivers/b.c": "#include <top.h>\n",
-    "drivers/local.h": "#include <base.h>\n",
-    "include/top.h": "#include <mid.h>\n#include <base.h>\n",
-    "include/mid.h": "#include <base.h>\n",
-    "include/base.h": "int base;\n",
-}
-
-
-@pytest.fixture()
-def graph():
-    return build_include_graph(FILES)
-
-
-class TestGraph:
-    def test_edges(self, graph):
-        assert graph.has_edge("drivers/a.c", "include/top.h")
-        assert graph.has_edge("drivers/a.c", "drivers/local.h")
-        assert graph.has_edge("include/top.h", "include/mid.h")
-        assert not graph.has_edge("drivers/b.c", "include/base.h")
-
-    def test_transitive_counts(self, graph):
-        counts = transitive_inclusion_counts(graph)
-        assert counts["include/base.h"] == 2  # both C files reach it
-        assert counts["drivers/local.h"] == 1
-
-    def test_longest_chain(self, graph):
-        chain = longest_chain(graph)
-        # a.c -> top.h -> mid.h -> base.h
-        assert len(chain) == 4
-        assert chain[0].endswith(".c")
-        assert chain[-1] == "include/base.h"
-
-    def test_no_cycles(self, graph):
-        assert include_cycles(graph) == []
-
-    def test_cycle_detection(self):
-        files = {"include/x.h": "#include <y.h>\n",
-                 "include/y.h": "#include <x.h>\n"}
-        cycles = include_cycles(build_include_graph(files))
-        assert cycles == [["include/x.h", "include/y.h"]]
-
-    def test_redundant_direct_include(self, graph):
-        redundant = redundant_direct_includes(graph)
-        # top.h includes base.h directly, but mid.h already pulls it.
-        assert ("include/top.h", "include/base.h",
-                "include/mid.h") in redundant
-
-    def test_preprocessing_fanout(self, graph):
-        counts = transitive_inclusion_counts(graph)
-        assert preprocessing_fanout(graph) == sum(counts.values())
+from repro.eval import top_included_headers
 
 
 class TestOnCorpus:
     def test_corpus_graph(self):
         corpus = generate_kernel(KernelSpec(subsystems=2,
                                             drivers_per_subsystem=2))
-        graph = build_include_graph(corpus.files)
-        counts = transitive_inclusion_counts(graph)
-        # Core headers reach every driver.
-        assert counts["include/linux/kernel.h"] == len(corpus.units)
-        chain = longest_chain(graph)
-        assert len(chain) >= 3  # module.h -> kernel.h -> types.h
-        assert include_cycles(graph) == []
-        assert preprocessing_fanout(graph) > \
-            len(corpus.units) * 5  # headers re-preprocessed per unit
+        counts = {name: hits for name, hits, _pct in
+                  top_included_headers(corpus,
+                                       count=len(corpus.headers()))}
+        # Core headers reach every driver, down the chain
+        # module.h -> kernel.h -> types.h.
+        for header in ("include/linux/module.h", "include/linux/kernel.h",
+                       "include/linux/types.h"):
+            assert counts[header] == len(corpus.units), header
+        # Headers are re-preprocessed per unit.
+        assert sum(counts.values()) > len(corpus.units) * 5
