@@ -23,17 +23,30 @@ to its id, and ids are allocated in creation order.  AND and OR are
 two recursive closures over these tables, each with its own computed
 table keyed by the ordered id pair, and they resolve terminal children
 and equal operands before recursing.  A :class:`BDDNode` is the
-canonical handle ``(manager, _id)`` of an id that leaves the kernel:
-the manager creates one handle per id, so ``is``, ``hash`` and set
-membership behave as on hash-consed node objects.  The counters are
-derived from the tables: ``nodes_created`` is ``len(_unique)``,
-``apply_calls`` is the cache hits plus the sizes of the computed
-tables, and only ``apply_cache_hits`` is incremented, on a hit.
+canonical handle ``(manager, _id)`` of an id that leaves the kernel.
+The counters are derived from the tables: ``nodes_created`` is
+``len(_unique)``, ``apply_calls`` is the cache hits plus the sizes of
+the computed tables, and only the hit count is incremented, on a hit.
+
+**Lifetime.**  A manager and everything it owns form no reference
+cycle, so reference counting frees a unit's node table, computed
+tables and handles as soon as the last handle or manager reference
+drops; the cyclic collector never has to find them.  A handle holds
+its manager; the manager holds its handles only weakly (``_handles``
+maps an id to a ``weakref.ref``), so there is one *live* handle per
+id: ``is``, ``hash`` and set membership behave as on hash-consed node
+objects for as long as a handle is held, and an id whose handle died
+gets a fresh one on its next use (code that memoises on ``id()`` of a
+handle must hold the handle, or key on ``_id``).  ``true`` and
+``false`` are handles like any other.  The recursive kernels and
+walkers take themselves as an argument rather than closing over their
+own name, since a closure that refers to itself is a cycle.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
     Tuple
 
@@ -46,11 +59,13 @@ class BDDNode:
 
     Terminal nodes have ``var is None`` and carry ``value`` True/False.
     Internal nodes test ``var`` (an integer index) and branch to ``low``
-    (var=False) and ``high`` (var=True).  The manager creates one handle
-    per node id: structural equality is identity.
+    (var=False) and ``high`` (var=True).  There is one live handle per
+    node id, so structural equality is identity while both sides are
+    held.  A handle keeps its manager (and so the whole node table)
+    alive; the manager does not keep its handles alive.
     """
 
-    __slots__ = ("manager", "_id")
+    __slots__ = ("manager", "_id", "__weakref__")
 
     def __init__(self, manager: "BDDManager", node_id: int):
         self.manager = manager
@@ -195,7 +210,7 @@ class BDDNode:
         size = len(order)
         cache: Dict[Tuple[int, int], int] = {}
 
-        def count(node: int, depth: int) -> int:
+        def count(node: int, depth: int, count) -> int:
             # depth indexes into `order`; free variables between levels
             # multiply the count by two.
             if node <= TRUE_ID:
@@ -204,12 +219,12 @@ class BDDNode:
             if key in cache:
                 return cache[key]
             at = position[level[node]]
-            result = (1 << (at - depth)) * (count(lo[node], at + 1) +
-                                            count(hi[node], at + 1))
+            result = (1 << (at - depth)) * (count(lo[node], at + 1, count) +
+                                            count(hi[node], at + 1, count))
             cache[key] = result
             return result
 
-        return count(self._id, 0)
+        return count(self._id, 0, count)
 
     def one_sat(self) -> Optional[Dict[str, bool]]:
         """Return one satisfying partial assignment, or None."""
@@ -237,20 +252,20 @@ class BDDNode:
         names, level = manager._names, manager._level
         lo, hi = manager._lo, manager._hi
 
-        def walk(node: int,
-                 partial: Dict[str, bool]) -> Iterator[Dict[str, bool]]:
+        def walk(node: int, partial: Dict[str, bool],
+                 walk) -> Iterator[Dict[str, bool]]:
             if node <= TRUE_ID:
                 if node == TRUE_ID:
                     yield dict(partial)
                 return
             name = names[level[node]]
             partial[name] = False
-            yield from walk(lo[node], partial)
+            yield from walk(lo[node], partial, walk)
             partial[name] = True
-            yield from walk(hi[node], partial)
+            yield from walk(hi[node], partial, walk)
             del partial[name]
 
-        yield from walk(self._id, {})
+        yield from walk(self._id, {}, walk)
 
     def iter_models(self, variables: Optional[Iterable[str]] = None) \
             -> Iterator[Dict[str, bool]]:
@@ -369,23 +384,34 @@ class BDDManager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._xor_cache: Dict[Tuple[int, int], int] = {}
-        # Observability counter (repro.obs): computed-table hits.
-        self.apply_cache_hits = 0
+        # Observability counter (repro.obs): computed-table hits, in a
+        # cell the kernels share so that none of them holds the manager.
+        self._hits = [0]
         self._and, self._and_cache = self._binary_kernel(FALSE_ID, TRUE_ID)
         self._or, self._or_cache = self._binary_kernel(TRUE_ID, FALSE_ID)
-        self.false = BDDNode(self, FALSE_ID)
-        self.true = BDDNode(self, TRUE_ID)
-        self._handles: Dict[int, BDDNode] = {FALSE_ID: self.false,
-                                             TRUE_ID: self.true}
+        # id -> weakref.ref of its live handle (see the module docstring).
+        self._handles: Dict[int, "weakref.ref[BDDNode]"] = {}
 
     # -- node table ----------------------------------------------------
 
     def _node(self, node_id: int) -> BDDNode:
         """The canonical handle of ``node_id``."""
-        node = self._handles.get(node_id)
+        ref = self._handles.get(node_id)
+        node = ref() if ref is not None else None
         if node is None:
-            node = self._handles[node_id] = BDDNode(self, node_id)
+            node = BDDNode(self, node_id)
+            self._handles[node_id] = weakref.ref(node)
         return node
+
+    @property
+    def true(self) -> BDDNode:
+        """The constant TRUE node."""
+        return self._node(TRUE_ID)
+
+    @property
+    def false(self) -> BDDNode:
+        """The constant FALSE node."""
+        return self._node(FALSE_ID)
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -406,18 +432,21 @@ class BDDManager:
 
         The recursive ``apply`` takes two distinct internal ids, smaller
         first; children are resolved against the terminal rules before
-        recursing, so every call of it is a computed-table probe.
+        recursing, so every call of it is a computed-table probe.  It
+        recurses through its ``apply`` argument, not its own name, and
+        counts hits into the shared ``_hits`` cell, so no closure here
+        refers to itself or to the manager.
         """
         level, lo, hi = self._level, self._lo, self._hi
         unique = self._unique
+        hits = self._hits
         cache: Dict[Tuple[int, int], int] = {}
-        manager = self
 
-        def apply(f: int, g: int) -> int:
+        def apply(f: int, g: int, apply) -> int:
             key = (f, g)
             result = cache.get(key)
             if result is not None:
-                manager.apply_cache_hits += 1
+                hits[0] += 1
                 return result
             f_level, g_level = level[f], level[g]
             if f_level == g_level:
@@ -436,7 +465,8 @@ class BDDManager:
             elif g0 == identity or f0 == g0:
                 r0 = f0
             else:
-                r0 = apply(f0, g0) if f0 < g0 else apply(g0, f0)
+                r0 = apply(f0, g0, apply) if f0 < g0 \
+                    else apply(g0, f0, apply)
             if f1 == absorbing or g1 == absorbing:
                 r1 = absorbing
             elif f1 == identity:
@@ -444,7 +474,8 @@ class BDDManager:
             elif g1 == identity or f1 == g1:
                 r1 = f1
             else:
-                r1 = apply(f1, g1) if f1 < g1 else apply(g1, f1)
+                r1 = apply(f1, g1, apply) if f1 < g1 \
+                    else apply(g1, f1, apply)
             if r0 == r1:  # _mk, inlined
                 result = r0
             else:
@@ -465,7 +496,7 @@ class BDDManager:
                 return g
             if g == identity:
                 return f
-            return apply(f, g) if f < g else apply(g, f)
+            return apply(f, g, apply) if f < g else apply(g, f, apply)
 
         return operator, cache
 
@@ -498,6 +529,11 @@ class BDDManager:
     def nodes_created(self) -> int:
         """Internal nodes allocated (none is ever freed)."""
         return len(self._unique)
+
+    @property
+    def apply_cache_hits(self) -> int:
+        """Binary-op computed-table hits."""
+        return self._hits[0]
 
     @property
     def apply_calls(self) -> int:
@@ -549,7 +585,7 @@ class BDDManager:
         key = (f, g)
         result = self._xor_cache.get(key)
         if result is not None:
-            self.apply_cache_hits += 1
+            self._hits[0] += 1
             return result
         level, lo, hi = self._level, self._lo, self._hi
         if level[f] == level[g]:

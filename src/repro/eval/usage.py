@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, \
+    Set, Tuple
 
 from repro.corpus import KernelCorpus
 from repro.cpp import Preprocessor, ReadRecorder
 from repro.parser.ast import Node, StaticChoice
-from repro.superc import SuperC
+from repro.superc import SuperC, SuperCResult
 
 _DIRECTIVE = re.compile(r"^\s*#\s*(\w+)")
 _COMMENT_LINE = re.compile(r"^\s*(//.*)?$")
@@ -121,19 +122,25 @@ def unit_read_set(corpus: KernelCorpus, unit: str,
 def top_included_headers(
         corpus: KernelCorpus, count: int = 5,
         include_paths: Optional[Sequence[str]] = None,
-        on_error: Optional[Callable[[str, Exception], None]] = None) \
+        on_error: Optional[Callable[[str, Exception], None]] = None,
+        read_sets: Optional[Mapping[str, Set[str]]] = None) \
         -> List[Tuple[str, int, float]]:
     """Table 2b: headers ranked by how many C files' read-sets hold
     them; returns (header, files, percent-of-C-files).
 
-    A C file that fails to preprocess raises, or, with ``on_error``,
-    is reported to it and left out of the counts and the percentages.
+    ``read_sets`` holds the read-sets already known (a parse's
+    ``found_paths(result.reads)``), so those C files are not
+    preprocessed again.  A C file that fails to preprocess raises, or,
+    with ``on_error``, is reported to it and left out of the counts and
+    the percentages.
     """
+    known = read_sets or {}
     counts: Counter = Counter()
     counted = 0
     for c_file in corpus.c_files():
         try:
-            reads = unit_read_set(corpus, c_file, include_paths)
+            reads = known[c_file] if c_file in known \
+                else unit_read_set(corpus, c_file, include_paths)
         except Exception as error:
             if on_error is None:
                 raise
@@ -183,7 +190,11 @@ TOOLS_VIEW_ROWS = [
 
 def unit_statistics(superc: SuperC, unit: str) -> Dict[str, int]:
     """All Table 3 statistics for one compilation unit."""
-    result = superc.parse_file(unit)
+    return result_statistics(superc.parse_file(unit))
+
+
+def result_statistics(result: SuperCResult) -> Dict[str, int]:
+    """All Table 3 statistics of one unit's ``SuperCResult``."""
     stats = dict(result.unit.stats.as_dict())
     declarations, with_conditionals = _count_constructs(result.ast)
     stats["declarations_and_statements"] = declarations
@@ -196,7 +207,13 @@ def unit_statistics(superc: SuperC, unit: str) -> Dict[str, int]:
 def tools_view(superc: SuperC, units: List[str]) \
         -> Dict[str, Tuple[float, float, float]]:
     """Table 3: percentiles across compilation units for every row."""
-    per_unit = [unit_statistics(superc, unit) for unit in units]
+    return tools_view_table([unit_statistics(superc, unit)
+                             for unit in units])
+
+
+def tools_view_table(per_unit: List[Dict[str, int]]) \
+        -> Dict[str, Tuple[float, float, float]]:
+    """Table 3 from each unit's :func:`result_statistics`."""
     table: Dict[str, Tuple[float, float, float]] = {}
     for label, attribute in TOOLS_VIEW_ROWS:
         values = [stats.get(attribute, 0) for stats in per_unit]

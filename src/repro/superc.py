@@ -15,10 +15,20 @@ Typical use::
     result.parse.stats        # Figure 8 subparser statistics
     result.timing             # Figure 10 latency breakdown
     result.reads              # path -> digest (None: probed, missing)
+
+A unit's preprocess + parse runs with Python's cyclic garbage collector
+paused (:data:`COLLECTOR_PAUSE`): the pipeline's per-unit state, its
+BDD manager included, is acyclic, so reference counting frees it and a
+collection inside the parse would only walk live objects.  The caller's
+setting comes back when the unit is done; a caller that turned the
+collector off keeps it off.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -41,6 +51,55 @@ from repro.parser.lr import LRParser
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
 STATUS_PARSE_FAILED = "parse-failed"
+
+
+class CollectorPause:
+    """A reentrant, thread-safe pause of the cyclic garbage collector.
+
+    ``with COLLECTOR_PAUSE:`` nests across calls and threads: the first
+    entrant records ``gc.isenabled()`` and disables the collector, and
+    the last leaver re-enables it only if it was enabled then.  A fork
+    while some thread holds the pause resets the child's depth and lock
+    and restores the recorded setting there, so a forked worker does
+    not run with the collector off for life.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._enabled = False  # the setting the first entrant found
+        self._fork_hook = False
+
+    def __enter__(self) -> "CollectorPause":
+        with self._lock:
+            if self._depth == 0:
+                if not self._fork_hook:
+                    os.register_at_fork(
+                        after_in_child=self.reset_after_fork)
+                    self._fork_hook = True
+                self._enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._enabled:
+                gc.enable()
+
+    def reset_after_fork(self) -> None:
+        """In a forked child: a fresh lock, no holders, and the
+        collector setting the first holder found."""
+        self._lock = threading.Lock()
+        if self._depth:
+            self._depth = 0
+            if self._enabled:
+                gc.enable()
+
+
+# The one pause every SuperC instance shares.
+COLLECTOR_PAUSE = CollectorPause()
 
 
 class Timing:
@@ -189,13 +248,14 @@ class SuperC:
 
     def parse_source(self, text: str,
                      filename: str = "<input>") -> SuperCResult:
-        """Preprocess and parse source text; ``result.reads`` is the
-        read-set of the preprocessor run."""
+        """Preprocess and parse source text, with the cyclic collector
+        paused; ``result.reads`` is the read-set of the preprocessor
+        run."""
         tracer = self.tracer
         mark = tracer.mark() if tracer.enabled else None
         recorder = ReadRecorder(self.fs if self.fs is not None
                                 else DictFileSystem({}))
-        with tracer.span("unit", file=filename):
+        with COLLECTOR_PAUSE, tracer.span("unit", file=filename):
             preprocessor = self._preprocessor(recorder)
             with tracer.span("preprocess", file=filename):
                 pp_start = time.perf_counter()

@@ -18,7 +18,8 @@ import sys
 from typing import Dict, List, Optional, Set
 
 from repro.corpus import KernelCorpus, KernelSpec
-from repro.eval import (TOOLS_VIEW_ROWS, developers_view, tools_view,
+from repro.eval import (TOOLS_VIEW_ROWS, developers_view, found_paths,
+                        result_statistics, tools_view_table,
                         top_included_headers)
 from repro.superc import SuperC
 
@@ -51,7 +52,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--units", default="*.c", metavar="GLOB",
                         help="glob selecting compilation units")
     parser.add_argument("--skip-tools-view", action="store_true",
-                        help="skip Table 3's parses (Table 2b still "
+                        help="skip Table 3's parses (Table 2b then "
                              "preprocesses every C file)")
     parser.add_argument("--trace", metavar="FILE",
                         help="trace the tool's-view parses with "
@@ -78,8 +79,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     failed: Set[str] = set()
 
     def skip(unit: str, error: Exception) -> None:
-        failed.add(unit)
-        print(f"  (skipping {unit}: {error})", file=sys.stderr)
+        if unit not in failed:
+            failed.add(unit)
+            print(f"  (skipping {unit}: {error})", file=sys.stderr)
+
+    # Table 3's parses come first: each unit is parsed once, and its
+    # read-set serves Table 2b, which preprocesses only the C files
+    # left over (not selected, or failed to parse).
+    unit_stats: Dict[str, Dict[str, int]] = {}
+    read_sets: Dict[str, Set[str]] = {}
+    tracer = None
+    if not args.skip_tools_view:
+        if args.trace or args.profile:
+            from repro.obs import Tracer
+            tracer = Tracer()
+        superc = SuperC(corpus.filesystem(), include_paths=include_paths,
+                        tracer=tracer)
+        for unit in units:
+            try:
+                result = superc.parse_file(unit)
+            except Exception as error:
+                skip(unit, error)
+                continue
+            unit_stats[unit] = result_statistics(result)
+            read_sets[unit] = found_paths(result.reads)
 
     dev = developers_view(corpus)
     print("Table 2a: directives vs lines of code")
@@ -94,32 +117,18 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{row.pct_headers:>9.0f}%")
     print("\nTable 2b: most frequently included headers")
     for header, count, pct in top_included_headers(
-            corpus, include_paths=include_paths, on_error=skip):
+            corpus, include_paths=include_paths, on_error=skip,
+            read_sets=read_sets):
         print(f"  {header:<44}{count:>4} C files ({pct:.0f}%)")
 
     if args.skip_tools_view or not units:
         return 0
-    tracer = None
-    if args.trace or args.profile:
-        from repro.obs import Tracer
-        tracer = Tracer()
-    superc = SuperC(corpus.filesystem(), include_paths=include_paths,
-                    tracer=tracer)
-    parseable: List[str] = []
-    for unit in units:
-        if unit in failed:
-            continue
-        try:
-            superc.parse_file(unit)
-            parseable.append(unit)
-        except Exception as error:
-            skip(unit, error)
-    if not parseable:
+    if not unit_stats:
         print("\n(no unit preprocessed cleanly; tool's view skipped)")
         return 0
-    print(f"\nTable 3: tool's view over {len(parseable)} unit(s) "
+    print(f"\nTable 3: tool's view over {len(unit_stats)} unit(s) "
           "(50th/90th/100th)")
-    table = tools_view(superc, parseable)
+    table = tools_view_table(list(unit_stats.values()))
     for label, _attr in TOOLS_VIEW_ROWS:
         p50, p90, p100 = table[label]
         print(f"{label:<38}{p50:>8.0f} · {p90:>6.0f} · {p100:>6.0f}")

@@ -252,6 +252,32 @@ class TestReportCli:
         code = report_cli.main([str(tmp_path)])
         assert code == 2
 
+    def test_one_unit_span_per_parsed_unit(self, tmp_path, capsys):
+        # Table 3's statistics and Table 2b's read-sets come from one
+        # parse per unit: the trace holds one unit span for each, and
+        # Table 2b reads as when every C file is preprocessed for it.
+        from repro.corpus import KernelSpec, generate_kernel
+        corpus = generate_kernel(KernelSpec(seed=2012, subsystems=1,
+                                            drivers_per_subsystem=2))
+        corpus.write_to_directory(str(tmp_path / "tree"))
+        trace = tmp_path / "trace.json"
+        code = report_cli.main([str(tmp_path / "tree"), "-I", "include",
+                                "--trace", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"over {len(corpus.units)} unit(s)" in out
+        events = json.loads(trace.read_text())["traceEvents"]
+        spans = [event["args"]["file"] for event in events
+                 if event["name"] == "unit" and event["ph"] == "X"]
+        assert sorted(spans) == sorted(corpus.units)
+
+        def table2b(text):
+            return text.split("Table 2b")[1].split("Table 3")[0].strip()
+
+        report_cli.main([str(tmp_path / "tree"), "-I", "include",
+                         "--skip-tools-view"])
+        assert table2b(out) == table2b(capsys.readouterr().out)
+
     def test_table2b_uses_include_paths(self, tmp_path, capsys):
         # Headers under inc/, reached only through -I inc; broken.c
         # fails to preprocess and is left out of Table 2b.

@@ -414,8 +414,10 @@ def _digest(*parts):
 
 
 def bdd_signature(condition, memo):
-    """Exact structural digest of a BDD, memoised by node identity."""
-    key = id(condition)
+    """Exact structural digest of a BDD, memoised by its node id in the
+    unit's one manager (a handle the walk has let go of may be
+    recreated, so ``id()`` of a handle is not a stable key)."""
+    key = ("bdd", condition._id)
     if key not in memo:
         if condition.is_terminal():
             memo[key] = "1" if condition.is_true() else "0"
