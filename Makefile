@@ -79,36 +79,49 @@ trace-smoke:
 	           else f'result_cache.hits samples {hits} for {units} units'); \
 	  " && echo "trace-smoke: warm batch trace counts every unit a hit"
 
-# Tier 2: parse-daemon smoke — start a real repro.serve server on a
-# Unix socket and drive the whole serve contract through the client:
-# warm cache hit on the second identical request, reverse-invalidation
-# re-parse after a shared-header edit, status=shed under an over-depth
-# burst, and a graceful draining shutdown.  Exits nonzero on the first
-# violated expectation.
+# Tier 2: parse-daemon smoke — the tier-1 tests that start a real
+# repro.serve server on a Unix socket and drive the whole serve
+# contract through the client: warm cache hit on the second identical
+# request, reverse-invalidation re-parse after a shared-header edit,
+# status=shed under an over-depth burst, and a graceful draining
+# shutdown.  Exits nonzero on the first violated expectation.
 serve-smoke:
-	$(PY) -m repro.tools.serve_cli --smoke examples/mousedev.c \
-	    -I examples/include
+	$(PY) -m pytest -q \
+	    tests/test_serve.py::TestParseServerEndToEnd::test_parse_hit_invalidate_shutdown \
+	    tests/test_serve.py::TestParseServerEndToEnd::test_burst_sheds_beyond_queue_depth
 
-# Tier 2: HTTP-frontend smoke — start one daemon with a Unix socket
-# *and* an HTTP listener off the same warm state, then drive
-# parse/invalidate/stats/healthz over HTTP: 200 on /healthz, cache hit
-# on the re-parse, and the socket client answering a byte-identical
-# record for the unit HTTP warmed.  Exits nonzero on the first
-# violated expectation.
+# Tier 2: HTTP-frontend smoke — the tier-1 tests that start one daemon
+# with a Unix socket *and* an HTTP listener off the same warm state,
+# then drive parse/invalidate/stats/healthz/shutdown over HTTP: 200 on
+# /healthz, 404/405 routing, cache hit on the re-parse (median warm
+# hit under 10 ms on a keep-alive connection), the socket client
+# answering an identical record for the unit HTTP warmed, and a
+# draining shutdown over HTTP.  Exits nonzero on the first violated
+# expectation.
 http-smoke:
-	$(PY) -m repro.tools.serve_cli --http-smoke examples/mousedev.c \
-	    -I examples/include
+	$(PY) -m pytest -q \
+	    tests/test_http.py::TestHttpFrontend::test_framing_and_keepalive \
+	    tests/test_http.py::TestHttpFrontend::test_status_code_mapping_end_to_end \
+	    tests/test_http.py::TestHttpFrontend::test_healthz_flips_with_breaker \
+	    tests/test_http.py::TestHttpFrontend::test_warm_hit_is_not_held_back_by_nagle \
+	    tests/test_http.py::TestSharedWarmCache
 
-# Tier 2: fault-tolerance smoke — run a pooled (2-worker) server under
-# the deterministic repro.chaos fault plan: worker crash on request,
-# hang past the deadline, corrupt cache blob, dropped client socket,
-# ENOSPC on cache put, and a torn HTTP response body, then hard-kill
-# the daemon and require the restarted one to resume warm-state
-# short-circuiting from the journal (checked over HTTP).  Exits
-# nonzero on the first violated expectation.
+# Tier 2: fault-tolerance smoke — the tier-1 tests that run a pooled
+# (2-worker) server under the deterministic repro.chaos fault plan:
+# worker crash on request, hang past the deadline, corrupt cache blob,
+# dropped client socket, ENOSPC on cache put, and a torn HTTP response
+# body, then hard-stop the daemon and require the restarted one to
+# resume warm-state short-circuiting from the journal (checked over
+# HTTP).  Exits nonzero on the first violated expectation.
 chaos-smoke:
-	$(PY) -m repro.tools.serve_cli --chaos-smoke examples/mousedev.c \
-	    -I examples/include
+	$(PY) -m pytest -q \
+	    tests/test_serve.py::TestPooledServer::test_worker_crash_is_invisible_to_client \
+	    tests/test_serve.py::TestPooledServer::test_deadline_enforced_off_main_thread \
+	    tests/test_serve.py::TestPooledServer::test_cache_faults_stay_out_of_the_answer \
+	    tests/test_serve.py::TestClientRetry::test_reconnects_through_dropped_socket \
+	    tests/test_http.py::TestHttpChaos::test_torn_body_heals_through_retry \
+	    tests/test_serve.py::TestPooledServer::test_hard_stop_restart_resumes_over_http \
+	    tests/test_chaos.py::TestJournalResume
 
 # Full benchmark suite (Tables 2-3, Figures 8-10, scaling + speedup).
 bench:

@@ -17,7 +17,7 @@ queries:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cpp.conditions import defined_var
 from repro.cpp.tree import Conditional, TokenTree
@@ -85,31 +85,6 @@ def allyes_assignment(config_variables: Sequence[str]) \
         -> Dict[str, bool]:
     """The allyesconfig analogue: every defined:VAR true."""
     return {defined_var(name): True for name in config_variables}
-
-
-def max_coverage_bound(blocks: Sequence[Block]) -> float:
-    """Upper bound on single-configuration coverage: blocks that are
-    pairwise compatible could in principle all be enabled, but any
-    #else pair caps coverage below 1.  Computed greedily: the largest
-    set of blocks whose conjunction stays satisfiable."""
-    if not blocks:
-        return 1.0
-    # Greedy: conjoin block conditions while satisfiable.
-    chosen = 0
-    if not blocks:
-        return 1.0
-    manager_true = None
-    for block in blocks:
-        manager_true = block.condition
-        break
-    accumulated = None
-    for block in blocks:
-        candidate = block.condition if accumulated is None \
-            else (accumulated & block.condition)
-        if not candidate.is_false():
-            accumulated = candidate
-            chosen += 1
-    return chosen / len(blocks)
 
 
 def dead_blocks(blocks: Sequence[Block], constraint: Any) \

@@ -482,11 +482,6 @@ def _assign(clauses: List[Clause], name: str,
     return out
 
 
-def _dpll(clauses: List[Clause]) -> bool:
-    """DPLL satisfiability over a clause list."""
-    return _dpll_model(clauses, {}) is not None
-
-
 def _dpll_model(clauses: List[Clause],
                 _assignment_unused: Dict[str, bool]) \
         -> Optional[Dict[str, bool]]:

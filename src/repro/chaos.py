@@ -1,8 +1,8 @@
 """Deterministic fault injection for the parse pipeline and daemon.
 
 Fault-tolerance claims are only as good as the faults they were tested
-against.  This module lets tests and the ``superc-serve
---chaos-smoke`` harness inject *specific* failures at *specific*
+against.  This module lets tests (the ``make chaos-smoke``
+selection among them) inject *specific* failures at *specific*
 moments — a worker crash on exactly the k-th dispatched request, a
 hang that outlives the deadline, a truncated cache blob, a dropped
 client socket, an ``ENOSPC`` on a cache write — and replay the exact

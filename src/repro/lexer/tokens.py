@@ -84,16 +84,6 @@ class Token:
         clone.layout = layout
         return clone
 
-    def with_no_expand(self, names: frozenset) -> "Token":
-        clone = self.copy()
-        clone.no_expand = names
-        return clone
-
-    def with_annotations(self, annotations: Tuple[str, ...]) -> "Token":
-        clone = self.copy()
-        clone.annotations = self.annotations + annotations
-        return clone
-
     def copy(self) -> "Token":
         return Token(self.kind, self.text, self.file, self.line, self.col,
                      self.layout, self.annotations, self.no_expand,

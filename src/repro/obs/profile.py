@@ -84,12 +84,6 @@ class Profile:
             yield span
             stack.extend(span.children)
 
-    def event_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.name] = counts.get(event.name, 0) + 1
-        return counts
-
     # -- presentation -------------------------------------------------
 
     def format_summary(self) -> str:

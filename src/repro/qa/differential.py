@@ -202,12 +202,6 @@ class DifferentialChecker:
                           condition=manager.true)
         return parser.parse(tokens)
 
-    def _plain_parse(self, tokens, manager):
-        parser = LRParser(self.tables, classify,
-                          context_factory=make_context_factory(manager),
-                          condition=manager.true)
-        return parser.parse(tokens)
-
     # -- configuration choice -----------------------------------------
 
     def _configs_for(self, text: str, result, seed: int,

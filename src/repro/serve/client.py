@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.engine.results import UnitResult
 from repro.engine.scheduler import backoff_delay
 from repro.serve import protocol
-from repro.serve.protocol import STATUS_UNAVAILABLE  # noqa: F401 - compat
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -182,22 +181,10 @@ class SocketTransport(Transport):
 
     def __init__(self, socket_path: Optional[str] = None,
                  host: Optional[str] = None,
-                 port: Optional[int] = None,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 retries: int = 4,
-                 backoff_base: float = 0.05,
-                 backoff_factor: float = 2.0,
-                 backoff_max: float = 1.0,
-                 backoff_jitter: float = 0.5,
-                 backoff_seed: int = 0):
+                 port: Optional[int] = None, **options: Any):
         if socket_path is None and port is None:
             raise ValueError("need socket_path or host/port")
-        super().__init__(timeout=timeout, retries=retries,
-                         backoff_base=backoff_base,
-                         backoff_factor=backoff_factor,
-                         backoff_max=backoff_max,
-                         backoff_jitter=backoff_jitter,
-                         backoff_seed=backoff_seed)
+        super().__init__(**options)
         self.socket_path = socket_path
         self.host = host or "127.0.0.1"
         self.port = port
@@ -304,22 +291,10 @@ class HttpTransport(Transport):
     """
 
     def __init__(self, host: str = "127.0.0.1",
-                 port: Optional[int] = None,
-                 timeout: float = DEFAULT_TIMEOUT,
-                 retries: int = 4,
-                 backoff_base: float = 0.05,
-                 backoff_factor: float = 2.0,
-                 backoff_max: float = 1.0,
-                 backoff_jitter: float = 0.5,
-                 backoff_seed: int = 0):
+                 port: Optional[int] = None, **options: Any):
         if port is None:
             raise ValueError("need host/port")
-        super().__init__(timeout=timeout, retries=retries,
-                         backoff_base=backoff_base,
-                         backoff_factor=backoff_factor,
-                         backoff_max=backoff_max,
-                         backoff_jitter=backoff_jitter,
-                         backoff_seed=backoff_seed)
+        super().__init__(**options)
         self.host = host
         self.port = port
         self._conn: Optional[http.client.HTTPConnection] = None
@@ -522,6 +497,6 @@ def connect(url: str, **options: Any) -> RemoteSession:
 
 __all__ = [
     "DEFAULT_TIMEOUT", "HttpTransport", "RemoteSession", "ServeError",
-    "SocketTransport", "STATUS_UNAVAILABLE", "Transport", "connect",
+    "SocketTransport", "Transport", "connect",
     "make_transport", "parse_endpoint",
 ]

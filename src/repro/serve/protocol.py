@@ -140,7 +140,7 @@ class ParseRequest(Request):
 
     ``deadline`` (seconds) overrides the server default; ``fresh``
     skips every cache tier; ``delay`` is a testing aid (sleep before
-    parsing, so smoke tests can pile up a burst deterministically).
+    parsing, so tests can pile up a burst deterministically).
     """
 
     op = "parse"

@@ -24,7 +24,7 @@ Request shapes (``op`` selects the type)::
 
 ``parse`` extras: ``deadline`` (seconds, overrides the server
 default), ``fresh`` (true skips every cache tier), ``delay`` (testing
-aid: sleep before parsing, so smoke tests can pile up a burst
+aid: sleep before parsing, so tests can pile up a burst
 deterministically).
 
 Parse responses carry the structural Result protocol as JSON —
@@ -149,7 +149,7 @@ class ParseService:
     def _op_parse(self, request: ParseRequest,
                   deadline: Optional[Deadline] = None) -> dict:
         state = self.state
-        if request.delay > 0:  # testing aid — smoke tests build backlog
+        if request.delay > 0:  # testing aid — tests build backlog
             time.sleep(request.delay)
         text = request.text
         if text is None:

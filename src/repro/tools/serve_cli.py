@@ -20,43 +20,25 @@ daemon)::
     python -m repro.tools.serve_cli --connect http://127.0.0.1:7480 \\
         --invalidate include/major.h --stats --shutdown
 
-Smoke mode (``--smoke FILE``) runs the whole serve contract
-in-process over a real Unix socket: warm-hit on the second identical
-request, reverse-invalidation on a header edit, ``status=shed`` under
-an over-depth burst, and a clean draining shutdown — exits nonzero on
-the first violated expectation (the Makefile ``serve-smoke`` target).
-
-HTTP smoke mode (``--http-smoke FILE``) starts one daemon with both a
-Unix socket and an HTTP listener and drives parse / invalidate /
-stats / healthz entirely over HTTP: cache hit on the re-parse, the
-socket and HTTP transports answering byte-identical records off the
-shared warm cache, and a graceful shutdown via ``POST /v1/shutdown``
-(the Makefile ``http-smoke`` target).
-
-Chaos-smoke mode (``--chaos-smoke FILE``) runs the fault-tolerance
-contract: under a seeded :mod:`repro.chaos` plan it injects a worker
-crash, a parse hang past its deadline, a corrupt cache blob, a
-dropped client socket mid-response, an ENOSPC on a cache write, and a
-torn HTTP response body — asserting the daemon answers a correct
-parse after every fault — then hard-kills the daemon and verifies a
-restarted one resumes warm-tier short-circuiting from the journal
-through the HTTP frontend (the Makefile ``chaos-smoke`` target).
-
 ``--workers N`` puts the daemon behind a supervised pre-forked pool of
 N parse workers with N concurrent dispatchers (deadlines enforced by
 the pool supervisor, not SIGALRM).
 
+The serve contracts themselves (warm hits, invalidation, shedding,
+draining, the HTTP routes, and recovery from every :mod:`repro.chaos`
+fault) are checked by the tier-1 tests in ``tests/test_serve.py``,
+``tests/test_http.py`` and ``tests/test_chaos.py``; the Makefile's
+``serve-smoke``, ``http-smoke`` and ``chaos-smoke`` targets run them.
+
 Exit status: 0 success; 1 a client op failed (parse error, shed,
-daemon unavailable, smoke expectation violated); 2 usage errors.
+daemon unavailable); 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine import DEFAULT_OPTIMIZATION
@@ -128,23 +110,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="request a graceful draining shutdown")
     client.add_argument("--json", action="store_true",
                         help="print raw JSON responses")
-    parser.add_argument("--smoke", metavar="FILE",
-                        help="run the end-to-end serve smoke against "
-                             "FILE (starts its own server)")
-    parser.add_argument("--smoke-header", metavar="PATH",
-                        help="header to invalidate during --smoke "
-                             "(default: first include dir header)")
-    parser.add_argument("--http-smoke", metavar="FILE",
-                        dest="http_smoke",
-                        help="run the HTTP-frontend smoke against "
-                             "FILE (starts its own server with "
-                             "socket + HTTP listeners)")
-    parser.add_argument("--chaos-smoke", metavar="FILE",
-                        dest="chaos_smoke",
-                        help="run the fault-injection smoke against "
-                             "FILE (starts its own server, injects "
-                             "the six chaos fault kinds, restarts "
-                             "the daemon)")
     return parser
 
 
@@ -168,12 +133,6 @@ def _resolve_listeners(args) -> Dict[str, Tuple]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.smoke:
-        return run_smoke(args)
-    if args.http_smoke:
-        return run_http_smoke(args)
-    if args.chaos_smoke:
-        return run_chaos_smoke(args)
     client_mode = bool(args.parse_paths or args.invalidate_paths
                        or args.stats or args.shutdown)
     if not (args.listen or args.connect_url):
@@ -311,362 +270,6 @@ def run_client(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1 if failures else 0
-
-
-def run_smoke(args) -> int:
-    """End-to-end serve contract over a real Unix socket."""
-    from repro.serve import ParseServer, connect
-
-    unit = args.smoke
-    if not os.path.isfile(unit):
-        print(f"error: cannot read {unit}", file=sys.stderr)
-        return 2
-    header = args.smoke_header
-    if header is None:
-        for root in args.include:
-            names = sorted(name for name in os.listdir(root)
-                           if name.endswith(".h"))
-            if names:
-                header = os.path.join(root, names[0])
-                break
-    checks: List[str] = []
-
-    def expect(condition: bool, label: str) -> None:
-        status = "ok" if condition else "FAIL"
-        checks.append(f"  [{status}] {label}")
-        if not condition:
-            raise AssertionError(label)
-
-    tmp = tempfile.mkdtemp(prefix="superc-serve-smoke-")
-    sock = os.path.join(tmp, "serve.sock")
-    server = ParseServer(
-        socket_path=sock, max_queue=2,
-        optimization=args.optimization,
-        cache_dir=os.path.join(tmp, "cache"),
-        include_paths=tuple(args.include),
-        extra_definitions=parse_defines(args.define) or None).start()
-    try:
-        with connect(f"unix:{sock}") as session:
-            client = session.transport  # pipelined submit/drain below
-            first = session.parse(unit).record
-            expect(first["status"] in ("ok", "degraded"),
-                   f"first parse usable (status={first['status']})")
-            expect(first["cache"] == "miss", "first parse is a miss")
-            second = session.parse(unit).record
-            expect(second["cache"] == "hit",
-                   "second identical request is a cache hit")
-            expect(second["serve"]["seconds"]
-                   <= max(0.005, first["serve"]["seconds"]),
-                   "warm hit is not slower than the cold parse")
-            stats = session.stats()
-            expect(stats["cache_hits"] >= 1,
-                   "cache_hits counter advanced")
-
-            if header:
-                # Overlay edit: changed header content, so the units
-                # whose read-set holds it are demoted and a real
-                # re-parse is forced (a plain invalidate of unchanged
-                # content would legitimately re-hit the cache).
-                with open(header, "r", encoding="utf-8") as handle:
-                    header_text = handle.read()
-                response = session.invalidate(
-                    header,
-                    text=header_text + "\n#define SERVE_SMOKE_EDIT 1\n")
-                expect(response["status"] == "ok"
-                       and unit in response["invalidated"],
-                       f"invalidate({header}) drops the dependent "
-                       f"unit")
-                third = session.parse(unit).record
-                expect(third["cache"] == "miss",
-                       "edited header forces a real re-parse")
-                expect(third["status"] in ("ok", "degraded"),
-                       "re-parse after invalidate is usable")
-
-            # Over-depth burst: the first request sleeps, the rest
-            # pile up behind it; with max_queue=2 at least one must be
-            # shed instead of queueing without bound.
-            ids = [client.submit("parse", path=unit, delay=0.5,
-                                 fresh=True)]
-            ids += [client.submit("parse", path=unit, fresh=True)
-                    for _ in range(6)]
-            burst = client.drain(ids)
-            statuses = [response["status"] for response in burst]
-            expect(any(status == "shed" for status in statuses),
-                   f"over-depth burst sheds "
-                   f"({statuses.count('shed')}/{len(statuses)} shed)")
-            expect(all(status in ("ok", "degraded", "shed")
-                       for status in statuses),
-                   "burst responses are served or shed, never lost")
-
-            response = session.shutdown()
-            expect(response["status"] == "ok",
-                   f"shutdown drains cleanly "
-                   f"(drained={response.get('drained')})")
-        expect(server.wait(10.0), "server stopped after drain")
-    except AssertionError as error:
-        print("\n".join(checks))
-        print(f"serve-smoke: FAILED — {error}", file=sys.stderr)
-        return 1
-    finally:
-        server.close()
-    print("\n".join(checks))
-    print("serve-smoke: all checks passed")
-    return 0
-
-
-def _strip_volatile(record: dict) -> dict:
-    """A response record minus per-request fields, for cross-transport
-    equality checks."""
-    return {key: value for key, value in record.items()
-            if key not in ("id", "serve")}
-
-
-def run_http_smoke(args) -> int:
-    """The HTTP frontend contract: one daemon, two transports, one
-    warm cache."""
-    import http.client as httplib
-
-    from repro.serve import ParseServer, connect
-
-    unit = args.http_smoke
-    if not os.path.isfile(unit):
-        print(f"error: cannot read {unit}", file=sys.stderr)
-        return 2
-    checks: List[str] = []
-
-    def expect(condition: bool, label: str) -> None:
-        status = "ok" if condition else "FAIL"
-        checks.append(f"  [{status}] {label}")
-        if not condition:
-            raise AssertionError(label)
-
-    tmp = tempfile.mkdtemp(prefix="superc-http-smoke-")
-    sock = os.path.join(tmp, "serve.sock")
-    server = ParseServer(
-        socket_path=sock, http_port=0, max_queue=16,
-        optimization=args.optimization,
-        cache_dir=os.path.join(tmp, "cache"),
-        include_paths=tuple(args.include),
-        extra_definitions=parse_defines(args.define) or None).start()
-    try:
-        host, port = server.http_address
-        expect(server.http.url.startswith("http://"),
-               f"daemon serves socket + HTTP ({server.http.url})")
-
-        with connect(server.http.url) as session:
-            # Raw-wire checks first: healthz and framing, the way a
-            # load balancer or curl sees them.
-            raw = httplib.HTTPConnection(host, port, timeout=30)
-            raw.request("GET", "/healthz")
-            health = raw.getresponse()
-            health_body = json.loads(health.read().decode("utf-8"))
-            expect(health.status == 200
-                   and health_body["status"] == "ok",
-                   "GET /healthz answers 200 while serving")
-            raw.request("GET", "/v1/nope")
-            lost = raw.getresponse()
-            lost.read()
-            expect(lost.status == 404, "unknown route answers 404")
-            raw.request("POST", "/v1/stats", body=b"{}")
-            wrong = raw.getresponse()
-            wrong.read()
-            expect(wrong.status == 405,
-                   "wrong method on a known route answers 405")
-            raw.close()
-
-            first = session.parse(unit).record
-            expect(first["status"] in ("ok", "degraded"),
-                   f"HTTP parse usable (status={first['status']})")
-            expect(first["cache"] == "miss",
-                   "first HTTP parse is a miss")
-            second = session.parse(unit).record
-            expect(second["cache"] == "hit",
-                   "HTTP re-parse is a warm cache hit")
-
-            # The acceptance check: the socket client must see the
-            # same record for the same unit — same warm cache, same
-            # envelope, different framing only.
-            with connect(f"unix:{sock}") as socket_session:
-                via_socket = socket_session.parse(unit).record
-            expect(via_socket["cache"] == "hit",
-                   "socket transport hits the cache HTTP warmed")
-            expect(_strip_volatile(via_socket)
-                   == _strip_volatile(second),
-                   "socket and HTTP answer identical records")
-
-            response = session.invalidate(unit)
-            expect(response["status"] == "ok",
-                   f"HTTP invalidate ok "
-                   f"(count={response.get('count')})")
-            stats = session.stats()
-            expect(stats["requests"] >= 4
-                   and stats["cache_hits"] >= 2,
-                   f"stats over HTTP see both transports "
-                   f"(requests={stats['requests']}, "
-                   f"hits={stats['cache_hits']})")
-
-            response = session.shutdown()
-            expect(response["status"] == "ok",
-                   f"shutdown over HTTP drains cleanly "
-                   f"(drained={response.get('drained')})")
-        expect(server.wait(10.0), "server stopped after drain")
-    except AssertionError as error:
-        print("\n".join(checks))
-        print(f"http-smoke: FAILED — {error}", file=sys.stderr)
-        return 1
-    finally:
-        server.close()
-    print("\n".join(checks))
-    print("http-smoke: all checks passed")
-    return 0
-
-
-def run_chaos_smoke(args) -> int:
-    """Fault-tolerance contract under a seeded chaos plan.
-
-    One fault of each kind is armed against a live pooled daemon (the
-    HTTP-site faults against its HTTP frontend); the assertion after
-    every one is the same: the next request is still answered
-    correctly.  Then the daemon is hard-killed (no drain) and a fresh
-    one on the same cache directory must resume warm-tier
-    short-circuiting from the journal — verified through ``http://``."""
-    from repro import chaos
-    from repro.serve import ParseServer, PoolConfig, connect
-
-    unit = args.chaos_smoke
-    if not os.path.isfile(unit):
-        print(f"error: cannot read {unit}", file=sys.stderr)
-        return 2
-    checks: List[str] = []
-
-    def expect(condition: bool, label: str) -> None:
-        status = "ok" if condition else "FAIL"
-        checks.append(f"  [{status}] {label}")
-        if not condition:
-            raise AssertionError(label)
-
-    tmp = tempfile.mkdtemp(prefix="superc-chaos-smoke-")
-    cache_dir = os.path.join(tmp, "cache")
-    pool_config = PoolConfig(size=2, heartbeat_seconds=0.2)
-
-    def make_server(name: str) -> "ParseServer":
-        return ParseServer(
-            socket_path=os.path.join(tmp, name), http_port=0,
-            max_queue=16, workers=2, pool_config=pool_config,
-            optimization=args.optimization, cache_dir=cache_dir,
-            include_paths=tuple(args.include),
-            extra_definitions=parse_defines(args.define) or None)
-
-    plan = chaos.install(chaos.FaultPlan(seed=8))
-    server = make_server("serve.sock").start()
-    restarted = None
-    try:
-        with connect(f"unix:{server.socket_path}") as session:
-            first = session.parse(unit).record
-            expect(first["status"] in ("ok", "degraded"),
-                   f"baseline parse usable (status={first['status']})")
-
-            # 1. Worker crash mid-request: the supervisor reaps the
-            # dead worker, restarts one under backoff, and the pool's
-            # one-shot retry still answers this very request.
-            plan.arm("pool.request", "worker-crash")
-            crashed = session.parse(unit, fresh=True).record
-            expect(crashed["status"] in ("ok", "degraded"),
-                   "request survives its worker crashing")
-            pool_stats = session.stats()["pool"]
-            expect(pool_stats["crashes"] >= 1
-                   and pool_stats["restarts"] >= 1,
-                   f"supervisor reaped and restarted "
-                   f"(crashes={pool_stats['crashes']}, "
-                   f"restarts={pool_stats['restarts']})")
-
-            # 2. Parse hang past its deadline: the supervisor SIGKILLs
-            # the worker at the deadline and answers status=timeout;
-            # the next request parses cleanly.
-            plan.arm("pool.request", "worker-hang", seconds=30.0)
-            hung = session.parse(unit, fresh=True,
-                                 deadline=1.5).record
-            expect(hung["status"] == "timeout",
-                   f"hung worker killed at the deadline "
-                   f"(status={hung['status']})")
-            after = session.parse(unit, fresh=True).record
-            expect(after["status"] in ("ok", "degraded"),
-                   "clean parse right after the hang")
-
-            # 3. Corrupt cache blob: invalidate demotes the memory
-            # entry, the disk read hits the truncated blob, treats it
-            # as a miss (deleting it), and the token tier still
-            # short-circuits the re-parse.
-            session.invalidate(unit)
-            plan.arm("cache.get", "corrupt-blob")
-            corrupt = session.parse(unit).record
-            expect(corrupt["status"] in ("ok", "degraded"),
-                   "request survives a corrupt cache blob")
-            stats = session.stats()
-            expect((stats["result_cache"] or {}).get("corrupt", 0) >= 1,
-                   "corrupt blob detected, counted, and quarantined")
-
-            # 4. Dropped client socket mid-response: the server-side
-            # chaos hook closes the socket under the sender; the
-            # client reconnects with backoff and resends.
-            plan.arm("conn.send", "drop-conn")
-            dropped = session.parse(unit).record
-            expect(dropped["status"] in ("ok", "degraded"),
-                   "client reconnects through a dropped socket")
-
-            # 5. ENOSPC on the cache write: publishing is best-effort,
-            # the parse result still comes back.
-            plan.arm("cache.put", "enospc")
-            enospc = session.parse(unit, fresh=True).record
-            expect(enospc["status"] in ("ok", "degraded"),
-                   "parse survives ENOSPC on the cache write")
-
-        # 6. Torn HTTP response body: the frontend sends a full
-        # Content-Length but half the bytes, then hard-closes; the
-        # HTTP client sees IncompleteRead, reconnects, and resends.
-        with connect(server.http.url) as http_session:
-            plan.arm("http.send", "torn-body")
-            torn = http_session.parse(unit).record
-            expect(torn["status"] in ("ok", "degraded"),
-                   "HTTP client heals a torn response body")
-
-        # 7. Hard kill (no drain, no shutdown) + restart on the same
-        # cache directory: the journal must bring the warm tiers back,
-        # observed through the restarted daemon's HTTP frontend.
-        server.close()
-        expect(server.wait(10.0), "daemon hard-stopped")
-        restarted = make_server("serve2.sock").start()
-        with connect(restarted.http.url) as session:
-            resumed = session.parse(unit).record
-            expect(resumed.get("cache") == "hit"
-                   and resumed.get("tier") in ("disk", "token"),
-                   f"first post-restart request (over HTTP) "
-                   f"short-circuits (tier={resumed.get('tier')})")
-            stats = session.stats()
-            expect((stats["journal"] or {}).get("resumed", 0) > 0,
-                   f"journal resumed "
-                   f"{(stats['journal'] or {}).get('resumed')} "
-                   f"warm entr(y/ies)")
-            session.shutdown()
-        expect(restarted.wait(10.0), "restarted daemon drained")
-
-        fired = {entry["kind"] for entry in plan.log}
-        wanted = {"worker-crash", "worker-hang", "corrupt-blob",
-                  "drop-conn", "enospc", "torn-body"}
-        expect(fired == wanted,
-               f"all six fault kinds fired ({sorted(fired)})")
-    except AssertionError as error:
-        print("\n".join(checks))
-        print(f"chaos-smoke: FAILED — {error}", file=sys.stderr)
-        return 1
-    finally:
-        chaos.uninstall()
-        server.close()
-        if restarted is not None:
-            restarted.close()
-    print("\n".join(checks))
-    print("chaos-smoke: all checks passed")
-    return 0
 
 
 if __name__ == "__main__":

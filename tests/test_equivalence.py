@@ -30,9 +30,8 @@ UNIT = "drivers/input/input_drv0.c"
 # The computed include picks one of these per configuration; a textual
 # include walk sees neither.
 ARCH_HEADERS = ("include/asm/input_32.h", "include/asm/input_64.h")
-# Per-answer fields: what serve_cli's _strip_volatile drops (request
-# id, serve timings), what a fresh parse measures anew, and which path
-# and tier answered.
+# Per-answer fields: the request id and serve timings, what a fresh
+# parse measures anew, and which path and tier answered.
 VOLATILE = ("id", "op", "serve", "tier", "cache", "timing", "seconds")
 
 

@@ -245,6 +245,17 @@ class TestSharedWarmCache:
             # And back the other way on a different unit.
             assert via_http.parse("b.c").record["cache"] == "miss"
             assert via_socket.parse("b.c").record["cache"] == "hit"
+            # The other routes over HTTP: invalidate drops the unit,
+            # stats count both transports, shutdown drains the daemon.
+            response = via_http.invalidate("a.c")
+            assert response["status"] == "ok"
+            assert response["invalidated"] == ["a.c"]
+            stats = via_http.stats()
+            assert stats["requests"] >= 5 and stats["cache_hits"] == 2
+            response = via_http.shutdown()
+            assert response["status"] == "ok"
+            assert response["drained"] >= 5
+        assert server.wait(10.0)
 
     def test_transports_answer_identical_records(self, server):
         with connect(f"unix:{server.socket_path}") as via_socket, \

@@ -19,7 +19,7 @@ from repro.serve import (AdmissionQueue, Deadline, FileStore,
                          PoolConfig, QueueClosed, STATUS_SHED,
                          STATUS_UNAVAILABLE, ServeError, ServerState,
                          SocketTransport, TIER_DISK, TIER_MEMORY,
-                         TIER_TOKEN, file_token_digest,
+                         TIER_TOKEN, connect, file_token_digest,
                          token_fingerprint)
 from repro.serve.admission import DeadlineExceeded, attempt_deadline
 
@@ -412,7 +412,7 @@ class TestParseServerEndToEnd:
                                          text="#define SHARED 4\n")
             assert response["invalidated"] == ["a.c"]
             third = client.parse("a.c")
-            assert third.record["cache"] == "miss"
+            assert third.ok and third.record["cache"] == "miss"
             stats = client.stats()
             assert stats["cache_hits"] == 1
             assert stats["requests"] >= 4
@@ -670,17 +670,21 @@ class TestClientRetry:
 class TestPooledServer:
     """End-to-end over the supervised multi-process worker pool."""
 
-    @pytest.fixture
-    def pooled_server(self, tmp_path):
-        sock = str(tmp_path / "pool.sock")
-        server = ParseServer(
+    @staticmethod
+    def pooled(tmp_path, name="pool.sock"):
+        return ParseServer(
             config=Config(files=dict(FILES),
                           include_paths=INCLUDE_PATHS),
-            socket_path=sock, max_queue=16, workers=2,
+            socket_path=str(tmp_path / name), http_port=0,
+            max_queue=16, workers=2,
             pool_config=PoolConfig(size=2, heartbeat_seconds=0.2),
-            cache_dir=str(tmp_path / "cache")).start()
+            cache_dir=str(tmp_path / "cache"))
+
+    @pytest.fixture
+    def pooled_server(self, tmp_path):
+        server = self.pooled(tmp_path).start()
         try:
-            yield server, sock
+            yield server, server.socket_path
         finally:
             server.close()
 
@@ -757,6 +761,50 @@ class TestPooledServer:
                 assert clean.ok
                 client.shutdown()
         assert server.wait(10.0)
+
+    def test_cache_faults_stay_out_of_the_answer(self, pooled_server):
+        """A corrupt blob read and an ENOSPC write at the result cache,
+        each during a served parse: both parses are answered, and the
+        corrupt blob is counted."""
+        server, sock = pooled_server
+        plan = chaos.FaultPlan()
+        with chaos.injected(plan):
+            with SocketTransport(socket_path=sock) as client:
+                assert client.parse("a.c").ok
+                # Demote the memory entry so the next lookup reads the
+                # disk blob, which the fault truncates first.
+                client.invalidate("a.c")
+                plan.arm("cache.get", "corrupt-blob")
+                assert client.parse("a.c").ok
+                assert client.stats()["result_cache"]["corrupt"] == 1
+                plan.arm("cache.put", "enospc")
+                assert client.parse("a.c", fresh=True).ok
+                client.shutdown()
+        assert server.wait(10.0)
+        assert plan.fired("corrupt-blob") == 1
+        assert plan.fired("enospc") == 1
+
+    def test_hard_stop_restart_resumes_over_http(self, pooled_server,
+                                                 tmp_path):
+        """A daemon stopped without a drain leaves its journal: a new
+        one on the same cache dir answers its first HTTP parse from a
+        warm tier instead of parsing cold."""
+        server, sock = pooled_server
+        with SocketTransport(socket_path=sock) as client:
+            assert client.parse("a.c").ok
+        server.close()
+        assert server.wait(10.0)
+        restarted = self.pooled(tmp_path, "restart.sock").start()
+        try:
+            with connect(restarted.http.url) as session:
+                resumed = session.parse("a.c").record
+                assert resumed["cache"] == "hit"
+                assert resumed["tier"] in (TIER_DISK, TIER_TOKEN)
+                assert session.stats()["journal"]["resumed"] > 0
+                assert session.shutdown()["status"] == "ok"
+            assert restarted.wait(10.0)
+        finally:
+            restarted.close()
 
 
 class TestServeCli:
