@@ -38,11 +38,28 @@ that becomes possible only after that step must not be missed.
 :meth:`FMLRParser._run_lead` runs the stretch.  It keeps a
 single-headed subparser's condition, head, stack and context in locals
 and builds a :class:`Subparser` only when the stretch ends; every
-iteration still does the bookkeeping (counters, kill switch, BDD budget,
-trace histogram).  Multi-headed subparsers, MAPR branch points and
+iteration still counts in the bookkeeping (counters, kill switch, BDD
+budget, trace histogram).  Multi-headed subparsers, MAPR branch points and
 ambiguous classifications go through ``_step`` and Figure 7b's action
 groups; both paths share one stack reduction, so results and counters
 do not depend on the mode.
+
+**Unit chains.**  Most reductions in a stretch are unit passthroughs
+(C's ``AssignmentExpression -> ConditionalExpression`` and its kin):
+each pops the node the last one pushed and pushes the same value
+under a new left-hand side, and while the context observes none of
+them the lookahead's classification stands.  A run of them therefore
+depends only on the state below, its first production and the
+lookahead terminal; :meth:`Tables.unit_chain` walks it once per such
+key, and ``_run_lead`` pushes its final node in place of k.  The memo
+is kept per ``observed_reductions`` set, and a context that observes
+every reduction never chains.  A chain runs only while the lookahead
+is strictly ahead of the limit, since a step that ends the stretch must
+hand back the one-step stack for its merge key, and a chain with a
+budget test at one of its later iterations is stepped one reduction at
+a time.  Its k - 1 later iterations still count in ``iterations``,
+``action_lookups``, the subparser counts and the trace histogram, so
+the counters do not depend on chaining either.
 
 **Carried presence conditions.**  A subparser's presence condition is
 the disjunction of its heads' conditions.  Merging, shared reduces and
@@ -164,7 +181,10 @@ class FMLRStats:
     def __init__(self) -> None:
         self.iterations = 0
         self.max_subparsers = 0
-        self.subparser_counts: List[int] = []
+        # The live subparser count of every iteration, as (count, run)
+        # pairs; ``_recorded`` iterations are in them so far.
+        self.subparser_counts: List[Tuple[int, int]] = []
+        self._recorded = 0
         self.forks = 0
         self.merges = 0
         self.shared_reduce_count = 0
@@ -174,6 +194,21 @@ class FMLRStats:
         # Degradation counters (soft kill switch / resource budgets).
         self.kill_switch_trips = 0
         self.dropped_subparsers = 0
+
+    def record_subparsers(self, live: int) -> None:
+        """Record that each iteration since the last call saw ``live``
+        subparsers."""
+        steps = self.iterations - self._recorded
+        if not steps:
+            return
+        self._recorded = self.iterations
+        if live > self.max_subparsers:
+            self.max_subparsers = live
+        counts = self.subparser_counts
+        if counts and counts[-1][0] == live:
+            counts[-1] = (live, counts[-1][1] + steps)
+        else:
+            counts.append((live, steps))
 
     def as_counters(self) -> Dict[str, int]:
         """Flat ``fmlr.*`` counter view for per-unit profiles."""
@@ -459,9 +494,11 @@ class FMLRParser:
             while queue and not queue[0][2].alive:
                 heapq.heappop(queue)
             limit = queue[0][2].earliest_position if queue else _NO_LIMIT
-            for successor in self._run_lead(
-                    subparser, limit, manager, stats, accepted, failures,
-                    live_count, shed_forks, trip_bdd_budget):
+            successors = self._run_lead(
+                subparser, limit, manager, stats, accepted, failures,
+                live_count, shed_forks, trip_bdd_budget)
+            stats.record_subparsers(live_count[0] + 1)
+            for successor in successors:
                 insert(successor)
         return FMLRResult(accepted, failures, stats, manager,
                           diagnostics, degraded=bool(diagnostics))
@@ -486,15 +523,20 @@ class FMLRParser:
         It is recomputed only after a shift, when a new subparser is
         loaded (a new condition or context), or after a reduction the
         context observes: a ``Declaration`` may just have made the
-        lookahead a typedef name (the lexer hack).
+        lookahead a typedef name (the lexer hack).  A run of unit
+        passthroughs the context does not observe is reduced in one push
+        from the tables' chain memo.
         """
         options = self.options
         tracer = self.tracer
         trace = tracer.enabled
         kill_switch = options.kill_switch
         max_nodes = self.budget.max_bdd_nodes if self.budget else 0
-        action_table = self.tables.action
-        record_count = stats.subparser_counts.append
+        tables = self.tables
+        action_table = tables.action
+        # Nothing is inserted during the stretch, so the live count
+        # holds until the kill switch sheds forks.
+        live = live_count[0] + 1  # include the one being stepped
         lead = False
         while True:
             if not lead:
@@ -504,18 +546,17 @@ class FMLRParser:
                     cond, node = heads[0]
                     stack, context = subparser.stack, subparser.context
                     observed = context.observed_reductions
+                    chains = tables.unit_chains(observed)
                     classes = None
             stats.iterations += 1
-            live = live_count[0] + 1  # include the one being stepped
-            record_count(live)
             if trace:
                 tracer.record("fmlr.subparsers", live)
-            if live > stats.max_subparsers:
-                stats.max_subparsers = live
             if live > kill_switch:
                 if options.hard_kill_switch:
                     raise SubparserExplosion(live, kill_switch)
                 shed_forks(live)
+                stats.record_subparsers(live)
+                live = live_count[0] + 1
             if max_nodes and stats.iterations % 64 == 0 \
                     and manager.num_nodes() > max_nodes:
                 trip_bdd_budget(  # empties the queue
@@ -563,12 +604,42 @@ class FMLRParser:
                         node = succ
                         classes = None
                     elif action[0] == REDUCE:
-                        stack = self._reduce_stack(stack, action[1],
-                                                   sub_cond, context)
-                        if stack is None:
-                            return []
-                        if observed is None or stack.symbol in observed:
-                            classes = None
+                        steps = 0
+                        if chains is not None and node.position < limit \
+                                and stack.value is not None:
+                            below = stack.prev
+                            key = (below.state, action[1], terminal)
+                            chain = chains.get(key)
+                            if chain is None:
+                                chain = chains[key] = tables.unit_chain(
+                                    observed, *key)
+                            steps = chain[2]
+                            # Step one reduction at a time where a budget
+                            # test falls inside the chain.  The kill
+                            # switch has nothing left to do there: a hard
+                            # one raised at the stretch's first step, and
+                            # a soft one has shed what it can.
+                            if max_nodes and \
+                                    stats.iterations % 64 + steps > 64:
+                                steps = 0
+                        if steps:
+                            # A unit chain: k reductions in one push, the
+                            # later k - 1 iterations counted here.
+                            more = steps - 1
+                            stats.iterations += more
+                            stats.action_lookups += more
+                            if trace:
+                                for _ in range(more):
+                                    tracer.record("fmlr.subparsers", live)
+                            stack = _StackNode(chain[0], chain[1],
+                                               stack.value, below)
+                        else:
+                            stack = self._reduce_stack(stack, action[1],
+                                                       sub_cond, context)
+                            if stack is None:
+                                return []
+                            if observed is None or stack.symbol in observed:
+                                classes = None
                     else:  # ACCEPT
                         accepted.append((sub_cond, stack.value))
                         return []

@@ -48,6 +48,12 @@ Action = Tuple
 # ConditionalExpression``: it re-pushes its child's value unchanged.
 ReducePlan = Tuple[str, int, bool, Production]
 
+# A unit chain, keyed by (state below, first production, lookahead
+# terminal): (final state, final left-hand side, steps).  Zero steps
+# means the first reduction does not start a chain.
+ChainKey = Tuple[int, int, str]
+UnitChain = Tuple[Optional[int], Optional[str], int]
+
 
 class Conflict:
     """A recorded table conflict and how it was resolved."""
@@ -99,9 +105,54 @@ class Tables:
                  and len(production.rhs) == 1, production)
                 for production in self.grammar.productions]
 
+    @functools.cached_property
+    def _chain_memos(self) -> Dict[FrozenSet[str],
+                                   Dict[ChainKey, UnitChain]]:
+        return {}
+
+    def unit_chains(self, observed: Optional[FrozenSet[str]]) \
+            -> Optional[Dict[ChainKey, UnitChain]]:
+        """FMLR's memo of :meth:`unit_chain` for contexts that observe
+        the reductions of ``observed``, kept on the tables like
+        ``reduce_plan`` and never pickled.  None for a context that
+        observes every reduction: it never chains."""
+        if observed is None:
+            return None
+        memos = self._chain_memos
+        memo = memos.get(observed)
+        if memo is None:
+            memo = memos[observed] = {}
+        return memo
+
+    def unit_chain(self, observed: FrozenSet[str], below: int,
+                   production: int, terminal: str) -> UnitChain:
+        """The run of unit passthroughs that reducing by ``production``
+        starts over a stack node in state ``below``, with lookahead
+        ``terminal`` and a non-None child value.  Each step pops the
+        node the last one pushed, so every step's goto is read in
+        ``below``.  The run stops before a reduction that is not a unit
+        passthrough, one whose left-hand side is in ``observed``, one
+        with no goto, and before any other action."""
+        plan, goto = self.reduce_plan, self.goto[below]
+        lhs, _arity, unit, _production = plan[production]
+        state = goto.get(lhs)
+        if not unit or lhs in observed or state is None:
+            return None, None, 0
+        steps = 1
+        while True:
+            action = self.action[state].get(terminal)
+            if action is None or action[0] != REDUCE:
+                return state, lhs, steps
+            next_lhs, _arity, unit, _production = plan[action[1]]
+            next_state = goto.get(next_lhs)
+            if not unit or next_lhs in observed or next_state is None:
+                return state, lhs, steps
+            state, lhs, steps = next_state, next_lhs, steps + 1
+
     def __getstate__(self) -> Dict:
         state = dict(self.__dict__)
         state.pop("reduce_plan", None)
+        state.pop("_chain_memos", None)
         return state
 
 

@@ -298,8 +298,10 @@ class TestOptimizationLevels:
     def test_instrumentation_counts(self):
         _unit, result = parse_source(self.SOURCE)
         stats = result.stats
-        assert stats.iterations == len(stats.subparser_counts)
-        assert stats.max_subparsers == max(stats.subparser_counts)
+        assert stats.iterations == sum(run for _count, run
+                                       in stats.subparser_counts)
+        assert stats.max_subparsers == max(count for count, _run
+                                           in stats.subparser_counts)
         assert stats.merges > 0
 
 
@@ -365,7 +367,7 @@ class TestTracedPath:
             .choice_merging
         samples = tracer.histograms["fmlr.subparsers"]
         assert len(samples) == stats.iterations
-        assert samples == stats.subparser_counts
+        assert runs(samples) == stats.subparser_counts
         forks = [e for e in tracer.events if e.name == "fork"]
         merges = [e for e in tracer.events if e.name == "merge"]
         assert sum(e.args["n"] for e in forks) == stats.forks
@@ -458,10 +460,17 @@ def dag_ast_signature(value, memo=None):
     return digest
 
 
+def runs(samples):
+    """``samples`` as (value, run) pairs, the form of
+    ``FMLRStats.subparser_counts``."""
+    return [(value, len(list(run)))
+            for value, run in itertools.groupby(samples)]
+
+
 def run_lengths(counts):
-    """``"value*run ..."``: subparser counts are mostly 1s."""
-    return " ".join(f"{value}*{len(list(run))}"
-                    for value, run in itertools.groupby(counts))
+    """``"value*run ..."`` for (value, run) pairs: subparser counts are
+    mostly 1s."""
+    return " ".join(f"{value}*{run}" for value, run in counts)
 
 
 def fmlr_snapshot(parse):
@@ -891,6 +900,166 @@ class TestReducePlan:
                       for unit in corpus.units)
         assert calls["reclassify"] <= 0.5 * lookups
         assert set(reduced) == OBSERVED_BY_C
+
+
+# ---------------------------------------------------------------------------
+# unit chains: a run of unit passthroughs in one push, every count kept
+# ---------------------------------------------------------------------------
+
+def every_reduction_context(seen):
+    """A ``CContext`` class that overrides ``on_reduce`` and declares no
+    set, so it observes every reduction; it appends each left-hand side
+    to ``seen``, and its forks and merges keep its class."""
+    from repro.cgrammar import CContext
+
+    class EveryReduction(CContext):
+        def on_reduce(self, production, value, condition):
+            seen.append(production.lhs)
+            CContext.on_reduce(self, production, value, condition)
+
+        def fork_context(self):
+            return adopt(CContext.fork_context(self))
+
+        def merge_contexts(self, *args):
+            return adopt(CContext.merge_contexts(self, *args))
+
+    def adopt(context):
+        context.__class__ = EveryReduction
+        return context
+
+    return EveryReduction
+
+
+def golden_kernel_superc(**kwargs):
+    from repro.corpus import KernelSpec, generate_kernel
+    from repro.superc import SuperC
+    corpus = generate_kernel(KernelSpec(**GOLDEN_KERNEL))
+    return corpus, SuperC(corpus.filesystem(),
+                          include_paths=corpus.include_paths, **kwargs)
+
+
+class TestUnitChains:
+    """FMLR's lead stretch reduces a run of unit passthroughs with one
+    push from ``Tables.unit_chain``'s memo; counters, subparser counts,
+    budgets and trace samples stay those of one step per reduction.
+    The expected values below were recorded with one push per
+    reduction."""
+
+    def test_walk_stops_before_observed_and_non_unit_steps(self):
+        tables = unit_chain_grammar()
+        lhs = [entry[0] for entry in tables.reduce_plan]
+        term, item = lhs.index("Term"), lhs.index("Item")
+        # ``x ;``: Term -> IDENT, then Expr -> Term, then shift ``;``.
+        assert tables.unit_chain(frozenset(), 0, term, ";") == \
+            (tables.goto[0]["Expr"], "Expr", 2)
+        assert tables.unit_chain(frozenset(["Expr"]), 0, term, ";") == \
+            (tables.goto[0]["Term"], "Term", 1)
+        assert tables.unit_chain(frozenset(["Term"]), 0, term, ";")[2] == 0
+        assert tables.unit_chain(frozenset(), 0, item, "IDENT")[2] == 0
+        assert tables.unit_chains(None) is None
+
+    def test_memo_stays_out_of_the_blob(self):
+        from repro.parser.lalr import from_blob, to_blob
+        tables = unit_chain_grammar()
+        before = to_blob(tables)
+        parse_with("fmlr", "x ; ~ ; y ;", tables)
+        memo = tables.unit_chains(ParserContext.observed_reductions)
+        assert max(chain[2] for chain in memo.values()) == 2
+        after = to_blob(tables)
+        assert after == before
+        assert "_chain_memos" not in vars(from_blob(after))
+
+    def test_stack_push_gate_on_golden_kernel(self, monkeypatch):
+        """No timing: every count of the golden kernel stays, and the
+        chains save at least 8,000 of its 19,109 stack pushes."""
+        made = [0]
+        init = fmlr._StackNode.__init__
+
+        def counted(self, *args):
+            made[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(fmlr._StackNode, "__init__", counted)
+        corpus, superc = golden_kernel_superc()
+        iterations = lookups = 0
+        for unit in corpus.units:
+            tracer = Tracer()
+            superc.tracer = tracer
+            stats = superc.parse_file(unit).parse.stats
+            iterations += stats.iterations
+            lookups += stats.action_lookups
+            # One trace sample per iteration, chains included.
+            samples = tracer.histograms["fmlr.subparsers"]
+            assert runs(samples) == stats.subparser_counts
+        assert (iterations, lookups) == (18995, 19574)
+        assert made[0] <= 11000
+
+    def test_bdd_budget_test_inside_a_chain(self):
+        """The 512th iteration, where this budget trips, is a later step
+        of a unit chain: the chain is stepped one reduction at a time."""
+        corpus, superc = golden_kernel_superc(
+            budget=ResourceBudget(max_bdd_nodes=61))
+        result = superc.parse_file(corpus.units[0]).parse
+        snapshot = fmlr_snapshot(result)
+        assert snapshot["counters"]["fmlr.iterations"] == 512
+        assert snapshot["subparser_counts"] == "1*472 2*29 1*11"
+        assert snapshot["invalid_configs"] == "805b82e93aab25e10345"
+        assert [(d.phase, d.message) for d in result.diagnostics] == [
+            (PHASE_RESOURCE, "BDD budget of 61 nodes exceeded (62 "
+             "allocated): parse abandoned for the remaining "
+             "configurations")]
+
+    def test_hard_kill_switch(self):
+        tracer = Tracer()
+        corpus, superc = golden_kernel_superc(
+            options=FMLROptions(kill_switch=1, hard_kill_switch=True),
+            tracer=tracer)
+        with pytest.raises(SubparserExplosion) as raised:
+            superc.parse_file(corpus.units[0])
+        assert (raised.value.count, raised.value.limit) == (2, 1)
+        assert len(tracer.histograms["fmlr.subparsers"]) == 473
+
+    def test_soft_kill_switch(self):
+        corpus, superc = golden_kernel_superc(
+            options=FMLROptions(kill_switch=1))
+        result = superc.parse_file(corpus.units[0]).parse
+        snapshot = fmlr_snapshot(result)
+        counters = snapshot["counters"]
+        assert counters["fmlr.iterations"] == 8260
+        assert counters["fmlr.kill_switch_trips"] == 21
+        assert _digest(snapshot["subparser_counts"]) == \
+            "dd4c4e272054fac9be4c"
+        assert snapshot["invalid_configs"] == "1058e8a7aad3dd9a7e7c"
+        assert snapshot["ast"] == "3088214a5902753bcc1b"
+
+    @pytest.mark.parametrize("every_first", [True, False])
+    def test_observed_sets_stay_apart(self, every_first):
+        """A context observing every reduction never chains, and a
+        ``CContext`` chains with its own memo, on one ``Tables`` in
+        either order."""
+        from repro.cgrammar import CContext, c_tables, make_context_factory
+        from repro.parser.lalr import from_blob, to_blob
+        with open(GOLDEN_PATH) as handle:
+            golden = json.load(handle)["kernel"]
+        tables = from_blob(to_blob(c_tables()))
+        seen = []
+        every = every_reduction_context(seen)
+
+        def every_factory(manager, stats):
+            return lambda: every(manager, stats)
+
+        makers = [every_factory, make_context_factory]
+        if not every_first:
+            makers.reverse()
+        for maker in makers:
+            corpus, superc = golden_kernel_superc(
+                tables=tables, context_factory_maker=maker)
+            unit = corpus.units[0]
+            assert unit_snapshot(superc.parse_file(unit)) == golden[unit]
+        assert len(seen) == 7909
+        assert _digest(*seen) == "e903d451f6bec9b01ea4"
+        assert list(vars(tables)["_chain_memos"]) == \
+            [CContext.observed_reductions]
 
 
 if __name__ == "__main__":
