@@ -84,11 +84,15 @@ trace-smoke:
 # contract through the client: warm cache hit on the second identical
 # request, reverse-invalidation re-parse after a shared-header edit,
 # status=shed under an over-depth burst, and a graceful draining
-# shutdown.  Exits nonzero on the first violated expectation.
+# shutdown; plus an invalidation that outlasts its deadline on the
+# main thread of a pool-less daemon, which must still demote the
+# header's readers (the next parse is a miss, not a stale hit).
+# Exits nonzero on the first violated expectation.
 serve-smoke:
 	$(PY) -m pytest -q \
 	    tests/test_serve.py::TestParseServerEndToEnd::test_parse_hit_invalidate_shutdown \
-	    tests/test_serve.py::TestParseServerEndToEnd::test_burst_sheds_beyond_queue_depth
+	    tests/test_serve.py::TestParseServerEndToEnd::test_burst_sheds_beyond_queue_depth \
+	    tests/test_serve.py::TestParseServerEndToEnd::test_deadline_never_cuts_an_invalidation
 
 # Tier 2: HTTP-frontend smoke — the tier-1 tests that start one daemon
 # with a Unix socket *and* an HTTP listener off the same warm state,
@@ -112,11 +116,14 @@ http-smoke:
 # dropped client socket, ENOSPC on cache put, and a torn HTTP response
 # body, then hard-stop the daemon and require the restarted one to
 # resume warm-state short-circuiting from the journal (checked over
-# HTTP).  Exits nonzero on the first violated expectation.
+# HTTP).  A daemon given only a default deadline must fork a pool of
+# one worker and answer a hang past it the same way.  Exits nonzero
+# on the first violated expectation.
 chaos-smoke:
 	$(PY) -m pytest -q \
 	    tests/test_serve.py::TestPooledServer::test_worker_crash_is_invisible_to_client \
 	    tests/test_serve.py::TestPooledServer::test_deadline_enforced_off_main_thread \
+	    tests/test_serve.py::TestPooledServer::test_default_deadline_forks_one_worker \
 	    tests/test_serve.py::TestPooledServer::test_cache_faults_stay_out_of_the_answer \
 	    tests/test_serve.py::TestClientRetry::test_reconnects_through_dropped_socket \
 	    tests/test_http.py::TestHttpChaos::test_torn_body_heals_through_retry \

@@ -94,8 +94,8 @@ class CContext(ParserContext):
 
     def fork_context(self) -> "CContext":
         self._owned[:] = [False] * len(self._owned)
-        return CContext(self.manager, self.stats, list(self.scopes),
-                        [False] * len(self.scopes))
+        return type(self)(self.manager, self.stats, list(self.scopes),
+                          [False] * len(self.scopes))
 
     def may_merge(self, other: "ParserContext") -> bool:
         return (isinstance(other, CContext)
@@ -116,8 +116,8 @@ class CContext(ParserContext):
                     if entry not in existing:
                         existing.append(entry)
             merged_scopes.append(combined)
-        return CContext(self.manager, self.stats, merged_scopes,
-                        [False] * len(merged_scopes))
+        return type(self)(self.manager, self.stats, merged_scopes,
+                          [False] * len(merged_scopes))
 
     # -- reductions ------------------------------------------------------------
 

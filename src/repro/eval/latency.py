@@ -21,6 +21,7 @@ from repro.baselines import FormulaManager, GccLike, allyesconfig
 from repro.cgrammar import c_tables, classify, make_context_factory
 from repro.corpus import KernelCorpus
 from repro.cpp import Preprocessor
+from repro.engine.results import percentile
 from repro.eval.usage import found_paths, unit_read_set
 from repro.parser.fmlr import FMLRParser
 from repro.superc import SuperC
@@ -56,12 +57,7 @@ class LatencyDistribution:
         return max((s.seconds for s in self.samples), default=0.0)
 
     def percentile(self, p: float) -> float:
-        if not self.samples:
-            return 0.0
-        ordered = sorted(s.seconds for s in self.samples)
-        index = min(len(ordered) - 1,
-                    max(0, int(round(p * (len(ordered) - 1)))))
-        return ordered[index]
+        return percentile([s.seconds for s in self.samples], p)
 
     def cdf(self) -> List[Tuple[float, float]]:
         ordered = sorted(s.seconds for s in self.samples)

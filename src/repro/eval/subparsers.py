@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.corpus import KernelCorpus
+from repro.engine.results import percentile
 from repro.obs.tracer import Tracer
 from repro.parser.fmlr import (FMLROptions, OPTIMIZATION_LEVELS,
                                SubparserExplosion)
@@ -40,12 +41,7 @@ class SubparserDistribution:
         return max(self.counts) if self.counts else 0
 
     def percentile(self, p: float) -> int:
-        if not self.counts:
-            return 0
-        ordered = sorted(self.counts)
-        index = min(len(ordered) - 1,
-                    max(0, int(round(p * (len(ordered) - 1)))))
-        return ordered[index]
+        return percentile(self.counts, p) if self.counts else 0
 
     @property
     def p99(self) -> int:

@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, \
 
 from repro.corpus import KernelCorpus
 from repro.cpp import Preprocessor, ReadRecorder
+from repro.engine.results import percentile
 from repro.parser.ast import Node, StaticChoice
 from repro.superc import SuperC, SuperCResult
 
@@ -27,14 +28,8 @@ def percentiles(values: List[float]) -> Tuple[float, float, float]:
     """The paper's 50th · 90th · 100th percentile triple."""
     if not values:
         return (0, 0, 0)
-    ordered = sorted(values)
-    n = len(ordered)
-
-    def pct(p: float) -> float:
-        index = min(n - 1, max(0, int(round(p * (n - 1)))))
-        return ordered[index]
-
-    return (pct(0.50), pct(0.90), ordered[-1])
+    return (percentile(values, 0.50), percentile(values, 0.90),
+            max(values))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ module bounds the damage:
   ``status=shed``) instead of queueing; clients get a fast, honest
   "busy" and can back off or retry elsewhere.
 * :class:`Deadline` — per-request wall-clock budget, started at
-  admission time so queue wait counts against it.  A worker pool
-  enforces it out of process (select + SIGKILL); the pool-less
-  daemon pairs it with :func:`attempt_deadline` (SIGALRM) when
-  serving on the main thread, and falls back to before-start expiry
-  checks otherwise.
+  admission time so queue wait counts against it.  A request whose
+  budget ran out in the queue is answered ``timeout`` unserved; one
+  that starts is cut only by the worker pool's supervisor, which
+  SIGKILLs the worker parsing it (:mod:`repro.serve.pool`).  Work in
+  the daemon's own process is never interrupted, so an invalidation
+  or a cache write cannot be left half done.
 * **Drain** — ``begin_drain()`` flips the queue into shutdown mode:
   new work is refused but everything already admitted is still handed
   out, so a ``shutdown`` request can be enqueued *behind* in-flight
@@ -28,12 +29,10 @@ tracer the queue depth at each admission lands in the
 
 from __future__ import annotations
 
-import contextlib
-import signal
 import threading
 import time
 from collections import deque
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.obs.counters import Counters
 from repro.obs.tracer import NULL_TRACER
@@ -67,41 +66,6 @@ class Deadline:
     def __repr__(self) -> str:
         return (f"Deadline({self.seconds:.3g}s, "
                 f"remaining={self.remaining():.3g}s)")
-
-
-class DeadlineExceeded(Exception):
-    """Raised out of :func:`attempt_deadline` when its alarm fires."""
-
-
-def _alarm_handler(signum, frame):
-    raise DeadlineExceeded()
-
-
-@contextlib.contextmanager
-def attempt_deadline(seconds: float) -> Iterator[bool]:
-    """Hard wall-clock deadline around in-process work.
-
-    Arms a SIGALRM interval timer for ``seconds`` and raises
-    :class:`DeadlineExceeded` from wherever the work is executing when
-    it fires.  Signals only deliver to a process's main thread, so off
-    the main thread — or when ``seconds`` is 0 or ``setitimer`` is
-    unavailable — this degrades to a no-op and yields False; callers
-    can check the yielded flag and apply soft (between-requests)
-    deadline checks instead.
-    """
-    use_alarm = (seconds > 0 and hasattr(signal, "setitimer")
-                 and threading.current_thread()
-                 is threading.main_thread())
-    if not use_alarm:
-        yield False
-        return
-    previous_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous_handler)
 
 
 class QueueClosed(Exception):

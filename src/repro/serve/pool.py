@@ -1,10 +1,9 @@
 """Supervised pre-forked worker pool for the parse daemon.
 
-PR 6's daemon ran every parse on one thread inside one process, so a
-segfault-class failure or a runaway parse killed the whole service —
-and per-request deadlines leaned on SIGALRM, which only works on the
-main thread and therefore serialized the daemon.  This module moves
-each parse into a supervised child process:
+A daemon that parses in its own process dies with a segfault-class
+failure and cannot cut a runaway parse without interrupting whatever
+it was doing.  This module moves each parse into a supervised child
+process:
 
 * **Pre-forked workers.**  Workers are forked from the warm parent
   *after* the LALR tables and warm :class:`~repro.api.Session` exist,
@@ -13,10 +12,12 @@ each parse into a supervised child process:
 * **Supervisor-enforced deadlines.**  The parent waits on the response
   pipe with ``select`` and a timeout derived from the request's
   :class:`~repro.serve.admission.Deadline`; on expiry the worker is
-  SIGKILLed and the request answered ``status=timeout``.  Unlike a
-  SIGALRM deadline this works off the main thread, so any number of
-  dispatcher threads can serve parses concurrently, and work that
-  swallows exceptions cannot escape it.
+  SIGKILLed and the request answered ``status=timeout``.  This is the
+  only way a deadline cuts a parse, in the daemon and the batch
+  engine alike.  It works on any thread, so any number of dispatcher
+  threads can serve parses concurrently; work that swallows
+  exceptions cannot escape it; and the parent's own work (an
+  invalidation, a cache write) is never interrupted.
 * **Supervision.**  A heartbeat thread pings idle workers, recycles
   them after ``max_requests`` served or past an RSS ceiling, and
   replaces the dead.  A crashed worker is restarted under
@@ -602,7 +603,7 @@ class WorkerPool:
         ready, _, _ = select.select([worker.rfd], [], [], timeout)
         if not ready:
             # Deadline expired mid-parse: the supervisor enforces it by
-            # killing the worker — no SIGALRM, no main-thread rule.
+            # killing the worker, from whichever thread dispatched.
             try:
                 os.kill(worker.pid, signal.SIGKILL)
             except OSError:

@@ -42,12 +42,15 @@ the shutdown is still served (graceful drain).
 
 **Architecture.**  The acceptor and per-connection readers are
 daemon threads that only do admission (cheap, never parse); all
-parsing happens on the single thread that called
-:meth:`ParseServer.serve_forever` — the process's main thread under
-the CLI, which is exactly what lets per-request deadlines use the
-SIGALRM :func:`repro.serve.admission.attempt_deadline`.  Off the main
-thread (e.g. tests embedding the server in a thread) deadlines degrade
-to admission-time expiry checks.
+parsing happens on the dispatcher threads, one of them the thread
+that called :meth:`ParseServer.serve_forever`.  A deadline is checked
+when its request is dequeued (an expired one is answered ``timeout``
+unserved); after that only the worker pool's supervisor can cut the
+request, by killing the worker that parses it.  A daemon with a
+default deadline therefore always has a pool, of one worker if no
+``workers`` were asked for.  Nothing in the daemon's own process is
+interrupted, so an invalidation, a published entry, a result-cache
+write and a journal line always complete, whichever thread serves.
 
 Every request is observable.  Counts live in the state's one
 :class:`repro.obs.Counters` registry (``ServerState.counters``), which
@@ -76,9 +79,7 @@ from repro.engine import DEFAULT_OPTIMIZATION
 from repro.obs.counters import nest
 from repro.obs.tracer import NULL_TRACER
 from repro.serve import protocol
-from repro.serve.admission import (AdmissionQueue, Deadline,
-                                   DeadlineExceeded, QueueClosed,
-                                   attempt_deadline)
+from repro.serve.admission import AdmissionQueue, Deadline, QueueClosed
 from repro.serve.pool import PoolConfig, WorkerPool
 from repro.serve.protocol import (OPS, PROTOCOL_VERSION, STATUS_SHED,
                                   InvalidateRequest, ParseRequest,
@@ -134,8 +135,6 @@ class ParseService:
                 # supervisor enforces it against the child process.
                 return handler(request, deadline=deadline)
             return handler(request)
-        except DeadlineExceeded:
-            raise
         except Exception as exc:  # confine: a bad request never kills
             return protocol.error_reply(request.id, request.op,
                                         repr(exc))
@@ -329,10 +328,10 @@ class ParseServer:
     (TCP; port 0 picks a free port, see :attr:`address`); add
     ``http_host``/``http_port`` to serve the HTTP frontend
     (:mod:`repro.serve.http`) concurrently off the same warm state and
-    admission queue.  Call :meth:`serve_forever` on the thread that
-    should do the parsing — the main thread for SIGALRM-hard deadlines
-    — or :meth:`start` to spawn everything in the background (tests,
-    notebooks).
+    admission queue.  Call :meth:`serve_forever` to dispatch on the
+    calling thread, or :meth:`start` to spawn everything in the
+    background (tests, notebooks); both open the server with
+    :meth:`bind` first.
     """
 
     def __init__(self, state: Optional[ServerState] = None,
@@ -365,8 +364,12 @@ class ParseServer:
                                     counters=self.counters)
         self.deadline_seconds = max(0.0, deadline_seconds)
         # workers > 0 enables the supervised pre-forked pool: parses
-        # run in child processes, supervisor-enforced deadlines replace
-        # SIGALRM, and `workers` dispatcher threads serve concurrently.
+        # run in child processes, and `workers` dispatcher threads
+        # serve concurrently.  The supervisor is the only thing that
+        # cuts a parse at its deadline, so a default deadline alone
+        # forks one worker (as the batch engine does for a timeout).
+        if workers <= 0 and self.deadline_seconds > 0:
+            workers = 1
         if pool_config is None and workers > 0:
             pool_config = PoolConfig(size=workers)
         self.pool_config = pool_config if workers > 0 else None
@@ -404,9 +407,20 @@ class ParseServer:
     # -- lifecycle -----------------------------------------------------
 
     def bind(self) -> None:
-        """Create and bind the listening socket (idempotent).  With an
-        HTTP frontend requested and no socket endpoint, the line
-        protocol is simply not served."""
+        """Open the server without accepting (idempotent): fork the
+        worker pool, bind the socket listener, then start the HTTP
+        frontend.  The pool comes first, so its workers are forked
+        before any listener or frontend thread exists; once this
+        returns, every bound address is known and no request has been
+        accepted on the socket."""
+        self._start_pool()
+        self._bind_socket()
+        self._start_http()
+
+    def _bind_socket(self) -> None:
+        """Create and bind the listening socket.  With an HTTP frontend
+        requested and no socket endpoint, the line protocol is simply
+        not served."""
         if self._listener is not None:
             return
         if self.socket_path:
@@ -431,8 +445,7 @@ class ParseServer:
         self._listener = listener
 
     def _start_pool(self) -> None:
-        """Fork the worker pool (before ``bind``, so workers never
-        inherit the listener) and route parses through it."""
+        """Fork the worker pool and route parses through it."""
         if self.pool_config is None or self.pool is not None:
             return
         self.pool = WorkerPool(self.state, self.pool_config,
@@ -458,9 +471,7 @@ class ParseServer:
 
     def start(self) -> "ParseServer":
         """Bind and run acceptor + dispatchers as background threads."""
-        self._start_pool()
         self.bind()
-        self._start_http()
         self._start_acceptor()
         self._worker = threading.Thread(target=self._work_loop,
                                         name="serve-worker",
@@ -472,9 +483,7 @@ class ParseServer:
         """Bind, accept in the background, and parse on *this* thread
         until a ``shutdown`` request drains the queue.  Returns the
         number of requests served during the drain."""
-        self._start_pool()
         self.bind()
-        self._start_http()
         self._start_acceptor()
         self._work_loop()
         return self.drained
@@ -675,22 +684,7 @@ class ParseServer:
                 f"expired after {queue_seconds:.3g}s in queue"))
             return
         started = time.monotonic()
-        try:
-            if self.pool is not None:
-                # Deadlines are enforced out of process by the pool
-                # supervisor (select + SIGKILL) — no SIGALRM, so this
-                # works identically on every dispatcher thread.
-                response = self.service.handle(request,
-                                               deadline=deadline)
-            else:
-                with attempt_deadline(deadline.remaining()
-                                      if deadline.enabled else 0.0):
-                    response = self.service.handle(request)
-        except DeadlineExceeded:
-            response = protocol.timeout_reply(
-                request.id, request.op,
-                f"deadline of {deadline.seconds:.3g}s "
-                f"exceeded while parsing")
+        response = self.service.handle(request, deadline=deadline)
         response.setdefault("serve", {})
         response["serve"].update({
             "queue_seconds": round(queue_seconds, 6),

@@ -304,7 +304,7 @@ class ServerState:
         With an ``executor`` installed (worker pool), the parse runs in
         a supervised child process, handed the store's edits, and the
         supervisor enforces ``deadline``; otherwise it runs inline on
-        the warm session.  Failure records (error / timeout / crashed)
+        the warm session to the end.  Failure records (error / timeout / crashed)
         are returned but never published to the warm tiers or the
         journal — they describe one attempt, not the unit."""
         if self.executor is not None:

@@ -1,7 +1,6 @@
 """Command-line interface: the persistent parse daemon and its client.
 
-Server mode (foreground; parsing happens on the main thread so
-per-request deadlines get SIGALRM enforcement).
+Server mode (foreground; requests are dispatched on the main thread).
 ``--listen URL`` is repeatable — one daemon can serve the socket
 dialect and the HTTP frontend concurrently off one warm state::
 
@@ -21,8 +20,11 @@ daemon)::
         --invalidate include/major.h --stats --shutdown
 
 ``--workers N`` puts the daemon behind a supervised pre-forked pool of
-N parse workers with N concurrent dispatchers (deadlines enforced by
-the pool supervisor, not SIGALRM).
+N parse workers with N concurrent dispatchers.  The pool supervisor is
+what cuts a parse at its deadline (it kills the worker), so
+``--deadline S`` without ``--workers`` forks a pool of one.  A
+per-request ``deadline`` sent to a daemon without a pool is checked
+when the request is dequeued only.
 
 The serve contracts themselves (warm hits, invalidation, shedding,
 draining, the HTTP routes, and recovery from every :mod:`repro.chaos`
@@ -79,7 +81,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     server.add_argument("--deadline", type=float, default=0.0,
                         metavar="SECONDS",
                         help="default per-request deadline "
-                             "(0 disables)")
+                             "(0 disables; without --workers, forks "
+                             "a pool of one worker to enforce it)")
     server.add_argument("--workers", type=int, default=0, metavar="N",
                         help="run parses in a supervised pool of N "
                              "forked workers (0 = inline, the "
@@ -180,7 +183,6 @@ def run_server(args) -> int:
         include_paths=tuple(args.include),
         extra_definitions=parse_defines(args.define) or None)
     server.bind()
-    server._start_http()
     if unix_endpoint:
         print(f"superc-serve: listening on unix:{server.socket_path}",
               file=sys.stderr)

@@ -909,23 +909,14 @@ class TestReducePlan:
 def every_reduction_context(seen):
     """A ``CContext`` class that overrides ``on_reduce`` and declares no
     set, so it observes every reduction; it appends each left-hand side
-    to ``seen``, and its forks and merges keep its class."""
+    to ``seen``.  It inherits ``fork_context`` and ``merge_contexts``,
+    which must keep its class."""
     from repro.cgrammar import CContext
 
     class EveryReduction(CContext):
         def on_reduce(self, production, value, condition):
             seen.append(production.lhs)
             CContext.on_reduce(self, production, value, condition)
-
-        def fork_context(self):
-            return adopt(CContext.fork_context(self))
-
-        def merge_contexts(self, *args):
-            return adopt(CContext.merge_contexts(self, *args))
-
-    def adopt(context):
-        context.__class__ = EveryReduction
-        return context
 
     return EveryReduction
 

@@ -15,13 +15,13 @@ from repro.cpp import DictFileSystem
 from repro.engine import BatchEngine, CorpusJob, EngineConfig
 from repro.engine.scheduler import backoff_delay
 from repro.serve import (AdmissionQueue, Deadline, FileStore,
-                         ParseServer, ParseService,
+                         InvalidateRequest, ParseServer, ParseService,
                          PoolConfig, QueueClosed, STATUS_SHED,
                          STATUS_UNAVAILABLE, ServeError, ServerState,
                          SocketTransport, TIER_DISK, TIER_MEMORY,
                          TIER_TOKEN, connect, file_token_digest,
                          token_fingerprint)
-from repro.serve.admission import DeadlineExceeded, attempt_deadline
+from repro.serve.server import _QueuedRequest, _ResponseSlot
 
 # A corpus with a header shared by exactly two of three units, plus a
 # second-level header reached only through only_a.h — the shape the
@@ -184,28 +184,6 @@ class TestAdmission:
         assert Deadline(0.0).remaining() == float("inf")
         expired = Deadline(0.001, start=time.monotonic() - 1.0)
         assert expired.expired()
-
-    def test_attempt_deadline_off_main_thread_is_soft(self):
-        flags = {}
-
-        def run():
-            with attempt_deadline(0.001) as armed:
-                flags["armed"] = armed
-                time.sleep(0.01)
-                flags["survived"] = True
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join()
-        assert flags == {"armed": False, "survived": True}
-
-    def test_attempt_deadline_fires_on_main_thread(self):
-        import signal
-        if not hasattr(signal, "setitimer"):
-            pytest.skip("no setitimer")
-        with pytest.raises(DeadlineExceeded):
-            with attempt_deadline(0.02):
-                time.sleep(1.0)
 
 
 class TestServerState:
@@ -449,6 +427,40 @@ class TestParseServerEndToEnd:
         assert responses[0]["status"] in ("ok", "degraded")
         assert responses[1]["status"] == "timeout"
         assert "deadline" in responses[1]["error"]
+
+    def test_deadline_never_cuts_an_invalidation(self, tmp_path,
+                                                 monkeypatch):
+        """A daemon without a pool serves a started request in full,
+        on the main thread too: an edit that outlasts its deadline
+        still demotes the header's readers, so the next parse of one
+        is a miss, never a stale memory hit."""
+        assert threading.current_thread() is threading.main_thread()
+        server = ParseServer(
+            config=Config(files=dict(FILES),
+                          include_paths=INCLUDE_PATHS),
+            cache_dir=str(tmp_path / "cache"))
+        try:
+            warm = server.service.handle({"op": "parse", "path": "b.c"})
+            assert warm["cache"] == "miss"
+            put = FileStore.put
+
+            def slow_put(store, path, text):
+                put(store, path, text)
+                time.sleep(0.2)
+
+            monkeypatch.setattr(FileStore, "put", slow_put)
+            slot = _ResponseSlot()
+            server._serve_one(_QueuedRequest(
+                InvalidateRequest("include/shared.h",
+                                  text="#define SHARED 4\n"),
+                slot, Deadline(0.05)))
+            assert slot.response["status"] == "ok"
+            assert slot.response["invalidated"] == ["b.c"]
+            assert not server.state.entries["b.c"].key
+            again = server.service.handle({"op": "parse", "path": "b.c"})
+            assert again["cache"] == "miss"
+        finally:
+            server.close()
 
     def test_shutdown_drains_pipelined_requests(self, tmp_path):
         sock = str(tmp_path / "drain.sock")
@@ -761,6 +773,35 @@ class TestPooledServer:
                 assert clean.ok
                 client.shutdown()
         assert server.wait(10.0)
+
+    def test_default_deadline_forks_one_worker(self, tmp_path):
+        """A deadline is cut only by killing a worker, so a daemon
+        given a default deadline and no workers forks a pool of one;
+        a hang past the deadline answers ``timeout`` and the
+        replacement worker serves the next request."""
+        server = ParseServer(
+            config=Config(files=dict(FILES),
+                          include_paths=INCLUDE_PATHS),
+            socket_path=str(tmp_path / "deadline.sock"),
+            deadline_seconds=1.0,
+            cache_dir=str(tmp_path / "cache")).start()
+        try:
+            assert server.pool is not None
+            assert server.pool.population() == (1, 1)
+            plan = chaos.FaultPlan()
+            with chaos.injected(plan):
+                with SocketTransport(socket_path=server.socket_path) \
+                        as client:
+                    plan.arm("pool.request", "worker-hang",
+                             seconds=30.0)
+                    hung = client.parse("c.c", fresh=True)
+                    assert hung.record["status"] == "timeout"
+                    assert client.parse("c.c", fresh=True).ok
+                    assert client.stats()["pool"]["timeouts"] == 1
+                    client.shutdown()
+            assert server.wait(10.0)
+        finally:
+            server.close()
 
     def test_cache_faults_stay_out_of_the_answer(self, pooled_server):
         """A corrupt blob read and an ENOSPC write at the result cache,
